@@ -171,39 +171,25 @@ def coverage_table(data):
             count = sum(1 for done, _ in timeline if prev < done <= cutoff)
             yield f"| ≤ {cutoff} | {count} |"
             prev = cutoff
-    # Per-strategy slice (campaigns with schedule-exploration pools): how
-    # many scenarios each strategy drove, how many distinct buckets its
-    # slice reached, and when the last new one landed — the PCT-vs-uniform
-    # comparison at a glance.
-    by_strategy = data.get("by_strategy", [])
-    if by_strategy:
+    # Per-model-axis slices (campaigns with mixed model pools): one table
+    # per `by_<axis>` key — how many scenarios each value drove, how many
+    # distinct buckets its slice reached, and when the last new one landed.
+    # PCT should out-reach uniform, and relaxed visibility models should keep
+    # reaching buckets (pending-store depths, drain placements) sc cannot.
+    for key, rows in data.items():
+        if not key.startswith("by_") or not rows:
+            continue
+        axis = key[len("by_"):]
         yield ""
-        yield "#### Coverage by schedule strategy"
+        yield f"#### Coverage by {axis}"
         yield ""
-        yield "| strategy | executed | distinct buckets | last new bucket at |"
+        yield f"| {axis} | executed | distinct buckets | last new bucket at |"
         yield "|---|---|---|---|"
-        for st in by_strategy:
-            timeline = st.get("new_bucket_timeline", [])
+        for row in rows:
+            timeline = row.get("new_bucket_timeline", [])
             last = timeline[-1][0] if timeline else "—"
-            yield (f"| {st['strategy']} | {st['executed']} "
-                   f"| {st['distinct_buckets']} | {last} |")
-    # Per-visibility-model slice (campaigns with a mixed wmm pool): the
-    # sc-vs-tso-vs-pso comparison — relaxed models should keep reaching
-    # buckets (pending-store depths, drain placements) sc structurally
-    # cannot.
-    by_visibility = data.get("by_visibility", [])
-    if by_visibility:
-        yield ""
-        yield "#### Coverage by visibility model"
-        yield ""
-        yield ("| visibility | executed | distinct buckets "
-               "| last new bucket at |")
-        yield "|---|---|---|---|"
-        for vm in by_visibility:
-            timeline = vm.get("new_bucket_timeline", [])
-            last = timeline[-1][0] if timeline else "—"
-            yield (f"| {vm['visibility']} | {vm['executed']} "
-                   f"| {vm['distinct_buckets']} | {last} |")
+            yield (f"| {row[axis]} | {row['executed']} "
+                   f"| {row['distinct_buckets']} | {last} |")
     yield ""
 
 

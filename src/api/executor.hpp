@@ -203,15 +203,6 @@ class executor {
   virtual hist::check_result check(
       const hist::check_options& opt = {}) const = 0;
 
-  /// Deprecated pre-check_options form (thin shim; prefer check(options)).
-  hist::check_result check(std::size_t node_budget,
-                           hist::lin_memo* memo = nullptr) const {
-    hist::check_options opt;
-    opt.node_budget = node_budget;
-    opt.memo = memo;
-    return check(opt);
-  }
-
   std::string log_text() const;
 };
 

@@ -84,11 +84,6 @@ class harness {
 
   // ---- object migration (executor-level shard rebalancing) ------------------
 
-  /// Is `id` a registry-created object this harness hosts? (add_object
-  /// customs are not migratable: the harness does not know how to rebuild
-  /// them elsewhere.)
-  bool has_object(std::uint32_t id) const { return hosted_.count(id) != 0; }
-
   /// The extract_object() preconditions, checked without extracting: empty
   /// when `id` can migrate away right now, else the error message
   /// extract_object() would throw. Lets callers validate a whole migration
@@ -156,16 +151,6 @@ class harness {
   hist::check_result check_per_object(const hist::check_options& opt = {}) const {
     return hist::check_durable_linearizability_per_object(
         log_->snapshot(), object_specs(), opt);
-  }
-
-  /// Deprecated pre-check_options form (thin shim; prefer the overload
-  /// above).
-  hist::check_result check_per_object(std::size_t node_budget,
-                                      hist::lin_memo* memo = nullptr) const {
-    hist::check_options opt;
-    opt.node_budget = node_budget;
-    opt.memo = memo;
-    return check_per_object(opt);
   }
 
   /// (id, spec) of every object added so far; specs stay owned by the

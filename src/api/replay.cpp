@@ -2,6 +2,9 @@
 #include "api/replay.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -86,8 +89,10 @@ std::unique_ptr<executor> build_executor(const scripted_scenario& s) {
   return ex;
 }
 
-scripted_outcome replay_impl(const scripted_scenario& s, bool check,
-                             const hist::check_options& opt = {}) {
+}  // namespace
+
+scripted_outcome replay(const scripted_scenario& s,
+                        const hist::check_options& opt) {
   std::unique_ptr<executor> ex = build_executor(s);
   scripted_outcome out;
   out.report = ex->run();
@@ -111,41 +116,17 @@ scripted_outcome replay_impl(const scripted_scenario& s, bool check,
     if (out.report.limit_note.empty()) out.report.limit_note = second.limit_note;
     out.report.lost_persistence |= second.lost_persistence;
   }
-  if (check) {
-    // Memo entries must never cross memory-model pairs: the differ shares
-    // one memo over a scenario's variant family, and a verdict computed
-    // under (sc, strict) is not a verdict about the same stream replayed
-    // under (tso, buffered) — see check_options::model_salt.
-    hist::check_options salted = opt;
-    salted.model_salt =
-        (static_cast<std::uint64_t>(s.visibility) << 8) |
-        static_cast<std::uint64_t>(s.persist);
-    out.check = ex->check(salted);
-  }
+  // Memo entries must never cross memory-model pairs: the differ shares one
+  // memo over a scenario's variant family, and a verdict computed under
+  // (sc, strict) is not a verdict about the same stream replayed under
+  // (tso, buffered) — see check_options::model_salt.
+  hist::check_options salted = opt;
+  salted.model_salt = (static_cast<std::uint64_t>(s.visibility) << 8) |
+                      static_cast<std::uint64_t>(s.persist);
+  out.check = ex->check(salted);
   out.events = ex->events();
   out.log_text = ex->log_text();
   return out;
-}
-
-}  // namespace
-
-scripted_outcome replay(const scripted_scenario& s) {
-  return replay_impl(s, /*check=*/true);
-}
-
-scripted_outcome replay(const scripted_scenario& s,
-                        const hist::check_options& opt) {
-  return replay_impl(s, /*check=*/true, opt);
-}
-
-scripted_outcome replay(const scripted_scenario& s, hist::lin_memo* memo) {
-  hist::check_options opt;
-  opt.memo = memo;
-  return replay_impl(s, /*check=*/true, opt);
-}
-
-scripted_outcome replay_unchecked(const scripted_scenario& s) {
-  return replay_impl(s, /*check=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -284,6 +265,34 @@ namespace {
                               std::to_string(lineno) + ": " + what);
 }
 
+/// The numeric fields of a line after its key: every remaining token must be
+/// a plain decimal (digits only, no sign) no larger than `max`, and there
+/// must be exactly `count` of them (any number when `count` is negative). A
+/// trailing token, a negative or an out-of-range value is a parse error
+/// naming the line.
+std::vector<std::uint64_t> numeric_fields(
+    std::istringstream& ls, int lineno, const std::string& line, int count,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::vector<std::uint64_t> out;
+  std::string tok;
+  while (ls >> tok) {
+    errno = 0;
+    const std::uint64_t v = std::strtoull(tok.c_str(), nullptr, 10);
+    if (tok.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE || v > max) {
+      malformed_at(lineno, "bad number '" + tok + "' in: " + line);
+    }
+    out.push_back(v);
+  }
+  if (count >= 0 && out.size() != static_cast<std::size_t>(count)) {
+    malformed_at(lineno, "want " + std::to_string(count) +
+                             " number(s) in: " + line);
+  }
+  return out;
+}
+
+constexpr std::uint64_t k_int_max = std::numeric_limits<int>::max();
+
 struct parse_state {
   bool legacy = false;    // saw v1/v2 `kind` / `params` keys
   bool declared = false;  // saw v3 `object` lines
@@ -330,21 +339,17 @@ void parse_line(const std::string& line, int lineno, scripted_scenario& s,
       malformed_at(lineno, "bad params line: " + line);
     }
   } else if (key == "procs") {
-    if (!(ls >> s.nprocs) || s.nprocs <= 0) {
-      malformed_at(lineno, "bad procs line: " + line);
-    }
+    s.nprocs =
+        static_cast<int>(numeric_fields(ls, lineno, line, 1, k_int_max)[0]);
+    if (s.nprocs == 0) malformed_at(lineno, "bad procs line: " + line);
   } else if (key == "policy") {
     std::string p;
     if (!(ls >> p)) malformed_at(lineno, "missing policy value");
     s.policy = fail_policy_from_name(p);
   } else if (key == "shared_cache") {
-    int v = 0;
-    if (!(ls >> v)) malformed_at(lineno, "bad shared_cache line: " + line);
-    s.shared_cache = v != 0;
+    s.shared_cache = numeric_fields(ls, lineno, line, 1, 1)[0] != 0;
   } else if (key == "sched_seed") {
-    if (!(ls >> s.sched_seed)) {
-      malformed_at(lineno, "bad sched_seed line: " + line);
-    }
+    s.sched_seed = numeric_fields(ls, lineno, line, 1)[0];
   } else if (key == "sched") {
     // Absent in v4 and earlier dumps: those always ran the seeded random
     // scheduler, which is why the field's default is uniform_random.
@@ -366,34 +371,36 @@ void parse_line(const std::string& line, int lineno, scripted_scenario& s,
       malformed_at(lineno, "unknown visibility model '" + v + "'");
     }
   } else if (key == "drain_steps") {
-    std::uint64_t k;
-    while (ls >> k) s.drain_steps.push_back(k);
+    for (std::uint64_t k : numeric_fields(ls, lineno, line, -1)) {
+      s.drain_steps.push_back(k);
+    }
   } else if (key == "backend") {
     std::string b;
     if (!(ls >> b)) malformed_at(lineno, "missing backend value");
     s.backend = backend_from_name(b);
   } else if (key == "shards") {
-    if (!(ls >> s.shards) || s.shards < 1) {
-      malformed_at(lineno, "bad shards line: " + line);
-    }
+    s.shards =
+        static_cast<int>(numeric_fields(ls, lineno, line, 1, k_int_max)[0]);
+    if (s.shards == 0) malformed_at(lineno, "bad shards line: " + line);
   } else if (key == "placement") {
     std::string rest;
     std::getline(ls, rest);
     s.placement = placement_policy::parse(rest);
   } else if (key == "migrate") {
-    std::uint32_t id = 0;
-    int shard = -1;
-    if (!(ls >> id >> shard) || shard < 0) {
-      malformed_at(lineno, "bad migrate line: " + line);
-    }
+    const std::vector<std::uint64_t> f = numeric_fields(
+        ls, lineno, line, 2, std::numeric_limits<std::uint32_t>::max());
+    if (f[1] > k_int_max) malformed_at(lineno, "bad migrate line: " + line);
+    const auto id = static_cast<std::uint32_t>(f[0]);
+    const int shard = static_cast<int>(f[1]);
     if (s.find_object(id) == nullptr) {
       malformed_at(lineno, "migrate targets undeclared object " +
                                std::to_string(id));
     }
     s.migrations.emplace_back(id, shard);
   } else if (key == "crash_steps") {
-    std::uint64_t k;
-    while (ls >> k) s.crash_steps.push_back(k);
+    for (std::uint64_t k : numeric_fields(ls, lineno, line, -1)) {
+      s.crash_steps.push_back(k);
+    }
   } else if (key == "script") {
     int pid = -1;
     if (!(ls >> pid)) malformed_at(lineno, "bad script line: " + line);

@@ -124,23 +124,13 @@ struct scripted_outcome {
 
 /// Build an executor for `s` (instantiating every declared object from the
 /// registry under its declared id on `s.backend`), install the scripts, run,
-/// and check. Throws std::invalid_argument on scenarios whose ops target
-/// undeclared objects.
-scripted_outcome replay(const scripted_scenario& s);
-
-/// Same, with explicit check knobs: node budget, a shared per-object check
-/// memo (the differ threads one through a scenario's whole variant family so
+/// and check. The check knobs: node budget, a shared per-object check memo
+/// (the differ threads one through a scenario's whole variant family so
 /// identical object histories linearize once), and the per-object fan-out
-/// (`jobs` — see hist::check_options).
+/// (`jobs` — see hist::check_options). Throws std::invalid_argument on
+/// scenarios whose ops target undeclared objects.
 scripted_outcome replay(const scripted_scenario& s,
-                        const hist::check_options& opt);
-
-/// Deprecated memo-only form (thin shim; prefer replay(s, options)).
-scripted_outcome replay(const scripted_scenario& s, hist::lin_memo* memo);
-
-/// Same, but skip the (potentially expensive) durable-linearizability check;
-/// `check` is left defaulted.
-scripted_outcome replay_unchecked(const scripted_scenario& s);
+                        const hist::check_options& opt = {});
 
 /// Line-oriented text form (v6); `parse_scenario(dump(s))` round-trips
 /// exactly.

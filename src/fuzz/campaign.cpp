@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 
+#include "fuzz/axes.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define DETECT_CAMPAIGN_FORK 1
 #include <sys/types.h>
@@ -55,9 +57,9 @@ std::string json_escaped(const std::string& s) {
 }
 
 /// One `tag=` coordinate of a bucket key (tag without the '='). The merged
-/// per-strategy and per-visibility tables recompute distinct counts from the
-/// bucket *union* — each worker only knows its own slice's buckets, so its
-/// per-slice distinct counts don't sum across workers.
+/// per-axis tables recompute distinct counts from the bucket *union* — each
+/// worker only knows its own buckets, so its per-value distinct counts don't
+/// sum across workers.
 std::string coord_of_bucket(const std::string& key, const std::string& tag) {
   std::size_t at = key.find("|" + tag + "=");
   if (at == std::string::npos) return "?";
@@ -67,8 +69,8 @@ std::string coord_of_bucket(const std::string& key, const std::string& tag) {
 }
 
 /// What a worker hands back to the supervisor, serialized line-oriented into
-/// `<artifact_dir>/worker-<N>.summary`. Bucket keys and strategy names are
-/// space-free by construction, so whitespace tokenizing is safe; the
+/// `<artifact_dir>/worker-<N>.summary`. Bucket keys and model value names
+/// are space-free by construction, so whitespace tokenizing is safe; the
 /// artifact path is a line tail. The files double as the archivable
 /// per-worker record the CI lane uploads alongside the failure artifacts.
 struct worker_summary {
@@ -78,8 +80,9 @@ struct worker_summary {
   std::uint64_t failure_iteration = 0;
   std::string failure_artifact;
   std::vector<corpus_entry> corpus;  // this slice's novel buckets
-  std::vector<std::pair<std::string, std::uint64_t>> strategy_executed;
-  std::vector<std::pair<std::string, std::uint64_t>> visibility_executed;
+  /// Per model axis (model_axes() order): scenarios executed per value.
+  std::vector<std::map<std::string, std::uint64_t>> executed_by_axis =
+      std::vector<std::map<std::string, std::uint64_t>>(model_axes().size());
 };
 
 std::string summary_path(const std::string& artifact_dir, int worker) {
@@ -98,11 +101,10 @@ void write_summary(const std::string& path, const worker_summary& ws) {
     out << "failure_iteration " << ws.failure_iteration << "\n";
     out << "artifact " << ws.failure_artifact << "\n";
   }
-  for (const auto& [name, executed] : ws.strategy_executed) {
-    out << "strategy " << name << " " << executed << "\n";
-  }
-  for (const auto& [name, executed] : ws.visibility_executed) {
-    out << "visibility " << name << " " << executed << "\n";
+  for (std::size_t i = 0; i < model_axes().size(); ++i) {
+    for (const auto& [value, executed] : ws.executed_by_axis[i]) {
+      out << model_axes()[i].slice << " " << value << " " << executed << "\n";
+    }
   }
   for (const corpus_entry& e : ws.corpus) {
     out << "bucket " << e.iteration << " " << e.seed << " "
@@ -132,16 +134,6 @@ bool read_summary(const std::string& path, worker_summary* ws) {
       ls >> ws->failure_iteration;
     } else if (tag == "artifact") {
       std::getline(ls >> std::ws, ws->failure_artifact);
-    } else if (tag == "strategy") {
-      std::string name;
-      std::uint64_t executed = 0;
-      ls >> name >> executed;
-      ws->strategy_executed.emplace_back(name, executed);
-    } else if (tag == "visibility") {
-      std::string name;
-      std::uint64_t executed = 0;
-      ls >> name >> executed;
-      ws->visibility_executed.emplace_back(name, executed);
     } else if (tag == "bucket") {
       corpus_entry e;
       int mutated = 0;
@@ -150,6 +142,14 @@ bool read_summary(const std::string& path, worker_summary* ws) {
       ws->corpus.push_back(e);
     } else if (tag == "end") {
       complete = true;  // truncated file (worker died mid-write) stays lost
+    } else {
+      for (std::size_t i = 0; i < model_axes().size(); ++i) {
+        if (tag != model_axes()[i].slice) continue;
+        std::string value;
+        std::uint64_t executed = 0;
+        ls >> value >> executed;
+        ws->executed_by_axis[i][value] += executed;
+      }
     }
   }
   return complete;
@@ -161,11 +161,10 @@ worker_summary summary_from_stats(const fuzz_stats& stats,
   ws.executed = stats.coverage.executed;
   ws.replays = stats.replays;
   ws.corpus = stats.coverage.corpus;
-  for (const strategy_stats& st : stats.coverage.by_strategy) {
-    ws.strategy_executed.emplace_back(st.strategy, st.executed);
-  }
-  for (const strategy_stats& st : stats.coverage.by_visibility) {
-    ws.visibility_executed.emplace_back(st.strategy, st.executed);
+  for (std::size_t i = 0; i < stats.coverage.by_axis.size(); ++i) {
+    for (const slice_stats& sl : stats.coverage.by_axis[i]) {
+      ws.executed_by_axis[i][sl.value] = sl.executed;
+    }
   }
   if (stats.failure) {
     ws.failed = true;
@@ -190,74 +189,13 @@ std::string write_artifact(const std::string& dir, const fuzz_failure& f) {
   return path;
 }
 
-/// The merged coverage JSON of a forked campaign: the classic single-
-/// campaign keys (so scripts/job_summary.py renders it unchanged) plus
-/// `jobs` and the per-worker table, with per-worker provenance on every
-/// corpus entry. The global new-bucket timeline is not reconstructible from
-/// per-worker slices (each worker's executed-so-far clock is its own), so it
-/// stays empty here — per-worker discovery counts live in `workers`.
-std::string merged_coverage_json(
-    const campaign_config& cfg, const std::vector<worker_report>& workers,
-    const std::vector<std::pair<corpus_entry, int>>& corpus,
-    std::uint64_t executed,
-    const std::vector<
-        std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>&
-        by_strategy,
-    const std::vector<
-        std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>&
-        by_visibility) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"base_seed\": " << cfg.options.base_seed << ",\n";
-  os << "  \"iterations\": " << cfg.options.iterations << ",\n";
-  os << "  \"jobs\": " << cfg.jobs() << ",\n";
-  os << "  \"executed\": " << executed << ",\n";
-  os << "  \"distinct_buckets\": " << corpus.size() << ",\n";
-  os << "  \"steered\": " << (cfg.options.steer ? "true" : "false") << ",\n";
-  os << "  \"new_bucket_timeline\": [],\n";
-  os << "  \"workers\": [\n";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const worker_report& w = workers[i];
-    os << "    {\"worker\": " << w.worker
-       << ", \"first_iteration\": " << w.first_iteration
-       << ", \"iterations\": " << w.iterations
-       << ", \"executed\": " << w.executed << ", \"replays\": " << w.replays
-       << ", \"new_buckets\": " << w.distinct_buckets
-       << ", \"failed\": " << (w.failed ? "true" : "false")
-       << ", \"lost\": " << (w.lost || w.error ? "true" : "false") << "}";
-    os << (i + 1 < workers.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"by_strategy\": [\n";
-  for (std::size_t i = 0; i < by_strategy.size(); ++i) {
-    os << "    {\"strategy\": \"" << json_escaped(by_strategy[i].first)
-       << "\", \"executed\": " << by_strategy[i].second.first
-       << ", \"distinct_buckets\": " << by_strategy[i].second.second
-       << ", \"new_bucket_timeline\": []}";
-    os << (i + 1 < by_strategy.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"by_visibility\": [\n";
-  for (std::size_t i = 0; i < by_visibility.size(); ++i) {
-    os << "    {\"visibility\": \"" << json_escaped(by_visibility[i].first)
-       << "\", \"executed\": " << by_visibility[i].second.first
-       << ", \"distinct_buckets\": " << by_visibility[i].second.second
-       << ", \"new_bucket_timeline\": []}";
-    os << (i + 1 < by_visibility.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"corpus\": [\n";
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const corpus_entry& e = corpus[i].first;
-    os << "    {\"iteration\": " << e.iteration << ", \"seed\": " << e.seed
-       << ", \"mutated\": " << (e.mutated ? "true" : "false")
-       << ", \"worker\": " << corpus[i].second << ", \"bucket\": \""
-       << json_escaped(e.bucket) << "\"}";
-    os << (i + 1 < corpus.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
+/// Write coverage_json to cfg.coverage_out() when set; false on IO failure.
+bool write_coverage(const campaign_config& cfg, const campaign_result& r) {
+  if (cfg.coverage_out().empty()) return true;
+  std::ofstream out(cfg.coverage_out());
+  if (!out) return false;
+  out << coverage_json(cfg, r);
+  return true;
 }
 
 /// Inline (jobs <= 1) path: exactly the classic run_fuzz campaign, plus the
@@ -286,15 +224,7 @@ campaign_result run_inline(
   }
   r.workers.push_back(std::move(w));
 
-  if (!cfg.coverage_out().empty()) {
-    std::ofstream out(cfg.coverage_out());
-    if (!out) {
-      r.exit_code = 2;
-    } else {
-      out << r.stats.coverage.to_json(cfg.options.base_seed,
-                                      cfg.options.iterations);
-    }
-  }
+  if (!write_coverage(cfg, r)) r.exit_code = 2;
   return r;
 }
 
@@ -410,7 +340,14 @@ campaign_result run_campaign(
     children.push_back({pid, std::move(rep)});
   }
 
-  // Collect. Workers are independent; wait order does not matter.
+  // Collect. Workers are independent; wait order does not matter. The
+  // bucket union keeps provenance: first discovery (by absolute iteration)
+  // wins, so the merged corpus is independent of which worker finished
+  // first.
+  const std::vector<model_axis>& axes = model_axes();
+  std::vector<corpus_entry> merged;
+  std::map<std::string, std::size_t> by_key;
+  std::vector<std::map<std::string, std::uint64_t>> executed(axes.size());
   for (child& c : children) {
     if (c.pid < 0) continue;
     int status = 0;
@@ -437,66 +374,41 @@ campaign_result run_campaign(
     r.stats.iterations += ws.executed;
     r.stats.replays += ws.replays;
     r.stats.coverage.executed += ws.executed;
-  }
-
-  // Bucket union with provenance: first discovery (by absolute iteration)
-  // wins, so the merged corpus is independent of which worker finished
-  // first.
-  std::vector<std::pair<corpus_entry, int>> merged;
-  std::map<std::string, std::size_t> by_key;
-  std::map<std::string, std::uint64_t> strategy_executed;
-  std::map<std::string, std::uint64_t> visibility_executed;
-  for (const child& c : children) {
-    if (c.report.lost || c.report.error) continue;
-    worker_summary ws;
-    if (!read_summary(summary_path(effective.artifact_dir(), c.report.worker),
-                      &ws)) {
-      continue;
+    if (c.report.error) continue;
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+      for (const auto& [value, n] : ws.executed_by_axis[i]) {
+        executed[i][value] += n;
+      }
     }
-    for (const auto& [name, executed] : ws.strategy_executed) {
-      strategy_executed[name] += executed;
-    }
-    for (const auto& [name, executed] : ws.visibility_executed) {
-      visibility_executed[name] += executed;
-    }
-    for (const corpus_entry& e : ws.corpus) {
+    for (corpus_entry e : ws.corpus) {
+      e.worker = c.report.worker;
       auto it = by_key.find(e.bucket);
       if (it == by_key.end()) {
         by_key.emplace(e.bucket, merged.size());
-        merged.emplace_back(e, c.report.worker);
-      } else if (e.iteration < merged[it->second].first.iteration) {
-        merged[it->second] = {e, c.report.worker};
+        merged.push_back(std::move(e));
+      } else if (e.iteration < merged[it->second].iteration) {
+        merged[it->second] = std::move(e);
       }
     }
   }
-  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
-    return a.first.iteration < b.first.iteration;
-  });
-  std::map<std::string, std::size_t> strategy_distinct;
-  std::map<std::string, std::size_t> visibility_distinct;
-  for (const auto& [e, worker] : merged) {
-    ++strategy_distinct[coord_of_bucket(e.bucket, "sched")];
-    ++visibility_distinct[coord_of_bucket(e.bucket, "vis")];
-    r.stats.coverage.corpus.push_back(e);
+  std::sort(merged.begin(), merged.end(),
+            [](const corpus_entry& a, const corpus_entry& b) {
+              return a.iteration < b.iteration;
+            });
+  coverage_stats& cov = r.stats.coverage;
+  cov.distinct_buckets = merged.size();
+  cov.steered = effective.options.steer;
+  for (std::size_t i = 0; i < axes.size(); ++i) {
+    std::map<std::string, std::size_t> distinct;
+    for (const corpus_entry& e : merged) {
+      ++distinct[coord_of_bucket(e.bucket, axes[i].coord)];
+    }
+    std::vector<slice_stats>& slices = cov.by_axis.emplace_back();
+    for (const auto& [value, n] : executed[i]) {
+      slices.push_back({value, n, distinct[value], {}});
+    }
   }
-  r.stats.coverage.distinct_buckets = merged.size();
-  r.stats.coverage.steered = effective.options.steer;
-  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>
-      by_strategy;
-  for (const auto& [name, executed] : strategy_executed) {
-    by_strategy.emplace_back(name,
-                             std::make_pair(executed, strategy_distinct[name]));
-    r.stats.coverage.by_strategy.push_back(
-        {name, executed, strategy_distinct[name], {}});
-  }
-  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>
-      by_visibility;
-  for (const auto& [name, executed] : visibility_executed) {
-    by_visibility.emplace_back(
-        name, std::make_pair(executed, visibility_distinct[name]));
-    r.stats.coverage.by_visibility.push_back(
-        {name, executed, visibility_distinct[name], {}});
-  }
+  cov.corpus = std::move(merged);
 
   for (child& c : children) r.workers.push_back(std::move(c.report));
 
@@ -508,18 +420,82 @@ campaign_result run_campaign(
   }
   r.exit_code = any_lost ? 2 : (any_failed ? 1 : 0);
 
-  if (!effective.coverage_out().empty()) {
-    std::ofstream out(effective.coverage_out());
-    if (!out) {
-      r.exit_code = 2;
-    } else {
-      out << merged_coverage_json(effective, r.workers, merged,
-                                  r.stats.coverage.executed, by_strategy,
-                                  by_visibility);
-    }
-  }
+  if (!write_coverage(effective, r)) r.exit_code = 2;
   return r;
 #endif
+}
+
+namespace {
+
+void write_timeline(
+    std::ostream& os,
+    const std::vector<std::pair<std::uint64_t, std::size_t>>& timeline) {
+  os << "[";
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    os << (i != 0 ? ", " : "") << "[" << timeline[i].first << ", "
+       << timeline[i].second << "]";
+  }
+  os << "]";
+}
+
+}  // namespace
+
+std::string coverage_json(const campaign_config& cfg,
+                          const campaign_result& r) {
+  const coverage_stats& cov = r.stats.coverage;
+  std::ostringstream os;
+  os << "{\n";
+  os << "  \"base_seed\": " << cfg.options.base_seed << ",\n";
+  os << "  \"iterations\": " << cfg.options.iterations << ",\n";
+  if (r.forked) os << "  \"jobs\": " << cfg.jobs() << ",\n";
+  os << "  \"executed\": " << cov.executed << ",\n";
+  os << "  \"distinct_buckets\": " << cov.distinct_buckets << ",\n";
+  os << "  \"steered\": " << (cov.steered ? "true" : "false") << ",\n";
+  os << "  \"new_bucket_timeline\": ";
+  write_timeline(os, cov.timeline);
+  os << ",\n";
+  if (r.forked) {
+    os << "  \"workers\": [\n";
+    for (std::size_t i = 0; i < r.workers.size(); ++i) {
+      const worker_report& w = r.workers[i];
+      os << "    {\"worker\": " << w.worker
+         << ", \"first_iteration\": " << w.first_iteration
+         << ", \"iterations\": " << w.iterations
+         << ", \"executed\": " << w.executed << ", \"replays\": " << w.replays
+         << ", \"new_buckets\": " << w.distinct_buckets
+         << ", \"failed\": " << (w.failed ? "true" : "false")
+         << ", \"lost\": " << (w.lost || w.error ? "true" : "false") << "}";
+      os << (i + 1 < r.workers.size() ? ",\n" : "\n");
+    }
+    os << "  ],\n";
+  }
+  const std::vector<model_axis>& axes = model_axes();
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    const std::vector<slice_stats>& slices = cov.slices(axes[a].name);
+    os << "  \"by_" << axes[a].slice << "\": [\n";
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      const slice_stats& sl = slices[i];
+      os << "    {\"" << axes[a].slice << "\": \"" << json_escaped(sl.value)
+         << "\", \"executed\": " << sl.executed
+         << ", \"distinct_buckets\": " << sl.distinct_buckets
+         << ", \"new_bucket_timeline\": ";
+      write_timeline(os, sl.timeline);
+      os << "}" << (i + 1 < slices.size() ? ",\n" : "\n");
+    }
+    os << "  ],\n";
+  }
+  os << "  \"corpus\": [\n";
+  for (std::size_t i = 0; i < cov.corpus.size(); ++i) {
+    const corpus_entry& e = cov.corpus[i];
+    os << "    {\"iteration\": " << e.iteration << ", \"seed\": " << e.seed
+       << ", \"mutated\": " << (e.mutated ? "true" : "false");
+    if (e.worker >= 0) os << ", \"worker\": " << e.worker;
+    os << ", \"bucket\": \"" << json_escaped(e.bucket) << "\"}";
+    os << (i + 1 < cov.corpus.size() ? ",\n" : "\n");
+  }
+  os << "  ]\n";
+  os << "}\n";
+  return os.str();
 }
 
 }  // namespace detect::fuzz

@@ -24,7 +24,7 @@
 // directory, write per-worker summaries + shrunk failure artifacts into the
 // artifact dir, and the parent merges coverage into one
 // campaign-coverage.json: executed sums, buckets union (with per-worker
-// provenance on every corpus entry), per-strategy tables recomputed from the
+// provenance on every corpus entry), per-axis tables recomputed from the
 // union. A worker that dies without reporting (signal, OOM) is flagged
 // `lost` and fails the campaign — silence is never success.
 #pragma once
@@ -144,6 +144,13 @@ struct campaign_result {
   /// error (including lost workers and unwritable outputs).
   int exit_code = 0;
 };
+
+/// The campaign's coverage.json: executed/distinct counts, the new-bucket
+/// timeline, one `by_<slice>` table per model axis, and the corpus. Forked
+/// campaigns add `jobs`, the per-worker `workers` table and each corpus
+/// entry's discovering `worker`; their timelines stay empty (each worker's
+/// executed-so-far clock is its own, so a global one cannot be rebuilt).
+std::string coverage_json(const campaign_config& cfg, const campaign_result& r);
 
 /// Run the campaign `cfg` describes. `progress`, when set and not quiet, is
 /// called per iteration on the inline path only (forked workers print their

@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "fuzz/axes.hpp"
+
 namespace detect::fuzz {
 
 namespace {
@@ -59,9 +61,13 @@ std::string bucket_signature::scenario_key() const {
   std::ostringstream os;
   os << "kinds=" << kinds << "|mix=" << op_mix << "|backend=" << backend
      << "|shards=" << shards << "|place=" << placement
-     << "|mig=" << (migrated ? 1 : 0) << "|sched=" << sched
-     << "|preempt=" << preempt_bucket << "|persist=" << persist
-     << "|vis=" << vis;
+     << "|mig=" << (migrated ? 1 : 0);
+  for (const model_axis& ax : model_axes()) {
+    os << "|" << ax.coord << "=" << this->*ax.bucket_field;
+    if (ax.points_bucket != nullptr) {
+      os << "|" << ax.points_coord << "=" << this->*ax.points_bucket;
+    }
+  }
   return os.str();
 }
 
@@ -87,13 +93,13 @@ bucket_signature scenario_signature(const api::scripted_scenario& s) {
   // nothing.
   b.placement = api::placement_name(s.placement.kind);
   b.migrated = !s.migrations.empty();
-  b.sched = sched::strategy_name(s.sched.strat);
-  b.preempt_bucket = s.sched.strat == sched::strategy::pct
-                         ? static_cast<int>(std::min<std::size_t>(
-                               s.sched.pct_points.size(), 3))
-                         : 0;
-  b.persist = nvm::persist_name(s.persist);
-  b.vis = wmm::visibility_name(s.visibility);
+  for (const model_axis& ax : model_axes()) {
+    b.*ax.bucket_field = ax.get(s);
+    if (ax.points_bucket != nullptr) {
+      const std::size_t n = ax.points_live(s) ? ax.points(s)->size() : 0;
+      b.*ax.points_bucket = static_cast<int>(std::min<std::size_t>(n, 3));
+    }
+  }
   return b;
 }
 

@@ -42,17 +42,14 @@ struct bucket_signature {
   int shards = 1;
   std::string placement = "modulo";  // placement policy kind (pins elided)
   bool migrated = false;             // scenario carries a migration plan
-  // Schedule-novelty coordinates (scenario-derived, so steerable): which
-  // exploration strategy drove the run, how many preemption points it was
-  // budgeted (bucketed like crash_phase), and the persistency model.
+  // Model-axis coordinates (scenario-derived, so steerable), filled and
+  // keyed from the axis table (axes.hpp). Each model combination is its own
+  // scenario-key region, so steering pushes campaigns toward unexplored
+  // combinations instead of re-rolling (uniform_random, strict, sc).
   std::string sched = "uniform_random";  // schedule strategy name
-  int preempt_bucket = 0;  // min(pct preemption budget, 3) — 0 for non-pct
-  std::string persist = "strict";  // persistency-visibility model name
-  // Store-buffer visibility coordinate (scenario-derived). Together with
-  // `persist` this spans the vis×persist cross — each of the six model
-  // pairs is its own scenario-key region, so steering pushes campaigns
-  // toward unexplored pairs instead of re-rolling (sc, strict).
-  std::string vis = "sc";  // visibility model name
+  int preempt_bucket = 0;  // min(pct preemption points, 3) — 0 for non-pct
+  std::string persist = "strict";  // persistency model name
+  std::string vis = "sc";          // visibility model name
   // Outcome-derived (observed from the replay).
   int crash_phase = 0;  // min(crashes actually delivered, 3) — 0 = none
   // min(max store-buffer depth the run ever reached, 3) — 0 under sc (and

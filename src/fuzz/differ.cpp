@@ -5,6 +5,8 @@
 #include <optional>
 #include <sstream>
 
+#include "fuzz/axes.hpp"
+
 namespace detect::fuzz {
 
 namespace {
@@ -33,9 +35,7 @@ std::string describe(const api::scripted_scenario& s) {
      << " crashes=" << s.crash_steps.size()
      << " policy=" << api::fail_policy_name(s.policy)
      << " backend=" << api::backend_name(s.backend) << "/" << s.shards
-     << (s.shared_cache ? " shared_cache" : "")
-     << " sched=" << s.sched.to_string()
-     << " persist=" << nvm::persist_name(s.persist);
+     << (s.shared_cache ? " shared_cache" : "") << describe_models(s);
   return os.str();
 }
 

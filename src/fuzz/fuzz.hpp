@@ -1,6 +1,9 @@
 // detect::fuzz — registry-driven workload generation and differential
 // crash-fuzzing over the detect::api façade.
 //
+//   axes.hpp          the model-axis table (schedule, persistency,
+//                     visibility) every layer below draws, mutates,
+//                     shrinks, slices and parses from
 //   scenario_gen.hpp  seed → multi-object scripted_scenario synthesis, plus
 //                     the structural mutation engine steering feeds on
 //   coverage.hpp      bucket signatures + the campaign coverage map
@@ -17,6 +20,7 @@
 // CI replays a bounded campaign on every push.
 #pragma once
 
+#include "fuzz/axes.hpp"          // IWYU pragma: export
 #include "fuzz/campaign.hpp"      // IWYU pragma: export
 #include "fuzz/coverage.hpp"      // IWYU pragma: export
 #include "fuzz/differ.hpp"        // IWYU pragma: export

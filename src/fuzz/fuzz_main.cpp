@@ -12,14 +12,9 @@
 //   fuzz_main --placement NAME         # pin the generator's placement knob
 //                                      # (modulo|hash|range|pinned|none)
 //   fuzz_main --shards-max K           # bound the generator's shard knob
-//   fuzz_main --sched NAME[:depth]     # schedule-strategy pool: round_robin,
-//                                      # uniform_random, pct, or mixed (all
-//                                      # three); :depth bounds pct preemption
-//                                      # budgets (default 3)
-//   fuzz_main --persist MODE           # persistency pool: strict, buffered,
-//                                      # or mixed
-//   fuzz_main --visibility MODE        # store-buffer visibility pool: sc,
-//                                      # tso, pso, or mixed (all three)
+//   fuzz_main --sched NAME[:depth]     # model-axis pools (--list-models):
+//   fuzz_main --persist NAME           # one value, or mixed (all of them);
+//   fuzz_main --visibility NAME        # :depth bounds pct budgets (def. 3)
 //   fuzz_main --jobs N                 # fork N worker processes over a
 //                                      # partition of the iteration range
 //                                      # (the 300k nightly at 30k wall-clock)
@@ -38,9 +33,8 @@
 //   fuzz_main --replay failure.txt     # re-run a dumped scenario and print
 //                                      # its coverage bucket signature
 //   fuzz_main --list-kinds             # print the registry kind pool
-//   fuzz_main --list-models            # print every schedule strategy,
-//                                      # persistency model, and visibility
-//                                      # model with one-line descriptions
+//   fuzz_main --list-models            # print every model axis's values
+//                                      # with one-line descriptions
 //
 // Exit status: 0 clean, 1 failure found (artifact written when --out is
 // set), 2 usage/IO error or lost worker. The same binary backs the CI fuzz
@@ -76,6 +70,15 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// The model axis a `--<name>` flag selects, or nullptr.
+const fuzz::model_axis* axis_flag(const char* arg) {
+  if (std::strncmp(arg, "--", 2) != 0) return nullptr;
+  for (const fuzz::model_axis& ax : fuzz::model_axes()) {
+    if (std::strcmp(arg + 2, ax.name) == 0) return &ax;
+  }
+  return nullptr;
+}
+
 int replay_file(const std::string& path, int check_jobs) {
   std::ifstream in(path);
   if (!in) {
@@ -94,12 +97,9 @@ int replay_file(const std::string& path, int check_jobs) {
               "%zu migrations)\n",
               s.nprocs, s.total_ops(), s.crash_steps.size(),
               s.placement.to_string().c_str(), s.migrations.size());
-  std::printf("schedule: %s (seed %llu), persistency: %s, visibility: %s"
-              " (%zu scripted drains)\n",
-              s.sched.to_string().c_str(),
-              static_cast<unsigned long long>(s.sched_seed),
-              nvm::persist_name(s.persist), wmm::visibility_name(s.visibility),
-              s.drain_steps.size());
+  std::printf("models:%s (sched seed %llu)\n",
+              fuzz::describe_models(s).c_str(),
+              static_cast<unsigned long long>(s.sched_seed));
   api::scripted_outcome outcome;
   std::string failure =
       fuzz::check_scenario(s, /*diff=*/true, /*replays=*/nullptr, &outcome,
@@ -199,11 +199,13 @@ int main(int argc, char** argv) {
         }
       }
       opt.gen.placement = name;
-    } else if (std::strcmp(arg, "--sched") == 0) {
-      // NAME[:depth] — "mixed" pools all three strategies; a single name
-      // pins every scenario to it. The optional :depth bounds pct budgets.
+    } else if (const fuzz::model_axis* ax = axis_flag(arg)) {
+      // --sched/--persist/--visibility NAME: "mixed" pools every value, a
+      // single name pins every scenario to it. Axes with a depth knob also
+      // take NAME:depth (bounding pct preemption budgets).
       std::string spec = need_value(i);
-      if (std::size_t colon = spec.find(':'); colon != std::string::npos) {
+      if (std::size_t colon = spec.find(':');
+          ax->depth != nullptr && colon != std::string::npos) {
         const std::string depth = spec.substr(colon + 1);
         char* end = nullptr;
         errno = 0;
@@ -214,39 +216,17 @@ int main(int argc, char** argv) {
                        depth.c_str());
           return 2;
         }
-        opt.gen.pct_depth = static_cast<int>(d);
+        opt.gen.*ax->depth = static_cast<int>(d);
         spec.resize(colon);
       }
+      std::vector<std::string>& pool = opt.gen.*ax->pool;
       if (spec == "mixed") {
-        opt.gen.sched_pool = {"round_robin", "uniform_random", "pct"};
-      } else if (sched::strategy_from_name(spec)) {
-        opt.gen.sched_pool = {spec};
+        pool.clear();
+        for (const fuzz::axis_value& v : ax->values) pool.emplace_back(v.name);
+      } else if (ax->find(spec) != nullptr) {
+        pool = {spec};
       } else {
-        std::fprintf(stderr, "fuzz_main: unknown schedule strategy '%s'\n",
-                     spec.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--persist") == 0) {
-      const std::string spec = need_value(i);
-      nvm::persist_model m;
-      if (spec == "mixed") {
-        opt.gen.persist_pool = {"strict", "buffered"};
-      } else if (nvm::persist_from_name(spec, m)) {
-        opt.gen.persist_pool = {spec};
-      } else {
-        std::fprintf(stderr, "fuzz_main: unknown persist model '%s'\n",
-                     spec.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--visibility") == 0) {
-      const std::string spec = need_value(i);
-      wmm::visibility_model m;
-      if (spec == "mixed") {
-        opt.gen.visibility_pool = {"sc", "tso", "pso"};
-      } else if (wmm::visibility_from_name(spec, m)) {
-        opt.gen.visibility_pool = {spec};
-      } else {
-        std::fprintf(stderr, "fuzz_main: unknown visibility model '%s'\n",
+        std::fprintf(stderr, "fuzz_main: unknown %s '%s'\n", ax->noun,
                      spec.c_str());
         return 2;
       }
@@ -275,25 +255,12 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (std::strcmp(arg, "--list-models") == 0) {
-      std::printf("schedule strategies (--sched):\n");
-      std::printf("  round_robin     deterministic rotation over ready"
-                  " processes — the canonical baseline schedule\n");
-      std::printf("  uniform_random  every step picks a ready process"
-                  " uniformly from the seeded stream\n");
-      std::printf("  pct             priority-based exploration with a"
-                  " budget of seeded preemption points\n");
-      std::printf("persistency models (--persist):\n");
-      std::printf("  strict          every drained store is persistent"
-                  " immediately — crashes lose nothing\n");
-      std::printf("  buffered        drained stores persist lazily via the"
-                  " journal — a crash can discard them\n");
-      std::printf("visibility models (--visibility):\n");
-      std::printf("  sc              every store is globally visible the"
-                  " moment it executes (no store buffers)\n");
-      std::printf("  tso             per-process FIFO store buffers; the"
-                  " scheduler picks when the head drains\n");
-      std::printf("  pso             per-process per-cell store buffers;"
-                  " stores to different cells drain in any order\n");
+      for (const fuzz::model_axis& ax : fuzz::model_axes()) {
+        std::printf("%s (--%s):\n", ax.title, ax.name);
+        for (const fuzz::axis_value& v : ax.values) {
+          std::printf("  %-15s %s\n", v.name, v.description);
+        }
+      }
       std::printf("registry kinds: run --list-kinds\n");
       return 0;
     } else {

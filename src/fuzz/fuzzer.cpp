@@ -7,6 +7,8 @@
 #include <set>
 #include <sstream>
 
+#include "fuzz/axes.hpp"
+
 namespace detect::fuzz {
 
 namespace {
@@ -29,18 +31,6 @@ std::vector<std::string> resolved_kinds(const fuzz_options& opt) {
   return api::object_registry::global().kinds();
 }
 
-}  // namespace
-
-std::string fuzz_one(std::uint64_t seed, const std::string& kind,
-                     const fuzz_options& opt, std::uint64_t* replays) {
-  api::scripted_scenario s =
-      generate(seed, kind, resolved_gen(opt, resolved_kinds(opt)));
-  return check_scenario(s, opt.diff, replays, nullptr, opt.placement_equiv,
-                        opt.check_jobs);
-}
-
-namespace {
-
 /// Prefix every line with "# " so a parse of the artifact skips the block.
 std::string commented(const std::string& text) {
   std::ostringstream os;
@@ -50,80 +40,16 @@ std::string commented(const std::string& text) {
   return os.str();
 }
 
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
-std::string coverage_stats::to_json(std::uint64_t base_seed,
-                                    std::uint64_t iterations) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"base_seed\": " << base_seed << ",\n";
-  os << "  \"iterations\": " << iterations << ",\n";
-  os << "  \"executed\": " << executed << ",\n";
-  os << "  \"distinct_buckets\": " << distinct_buckets << ",\n";
-  os << "  \"steered\": " << (steered ? "true" : "false") << ",\n";
-  os << "  \"new_bucket_timeline\": [";
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << "[" << timeline[i].first << ", " << timeline[i].second << "]";
+const std::vector<slice_stats>& coverage_stats::slices(
+    std::string_view axis) const {
+  static const std::vector<slice_stats> none;
+  const std::vector<model_axis>& axes = model_axes();
+  for (std::size_t i = 0; i < axes.size() && i < by_axis.size(); ++i) {
+    if (axis == axes[i].name) return by_axis[i];
   }
-  os << "],\n";
-  os << "  \"by_strategy\": [\n";
-  for (std::size_t i = 0; i < by_strategy.size(); ++i) {
-    const strategy_stats& st = by_strategy[i];
-    os << "    {\"strategy\": \"" << json_escaped(st.strategy)
-       << "\", \"executed\": " << st.executed
-       << ", \"distinct_buckets\": " << st.distinct_buckets
-       << ", \"new_bucket_timeline\": [";
-    for (std::size_t j = 0; j < st.timeline.size(); ++j) {
-      if (j != 0) os << ", ";
-      os << "[" << st.timeline[j].first << ", " << st.timeline[j].second
-         << "]";
-    }
-    os << "]}";
-    os << (i + 1 < by_strategy.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"by_visibility\": [\n";
-  for (std::size_t i = 0; i < by_visibility.size(); ++i) {
-    const strategy_stats& st = by_visibility[i];
-    os << "    {\"visibility\": \"" << json_escaped(st.strategy)
-       << "\", \"executed\": " << st.executed
-       << ", \"distinct_buckets\": " << st.distinct_buckets
-       << ", \"new_bucket_timeline\": [";
-    for (std::size_t j = 0; j < st.timeline.size(); ++j) {
-      if (j != 0) os << ", ";
-      os << "[" << st.timeline[j].first << ", " << st.timeline[j].second
-         << "]";
-    }
-    os << "]}";
-    os << (i + 1 < by_visibility.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"corpus\": [\n";
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const corpus_entry& e = corpus[i];
-    os << "    {\"iteration\": " << e.iteration << ", \"seed\": " << e.seed
-       << ", \"mutated\": " << (e.mutated ? "true" : "false")
-       << ", \"bucket\": \"" << json_escaped(e.bucket) << "\"}";
-    os << (i + 1 < corpus.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
+  return none;
 }
 
 std::string fuzz_failure::to_artifact() const {
@@ -153,16 +79,15 @@ fuzz_stats run_fuzz(
 
   coverage_map cov;
   std::vector<api::scripted_scenario> corpus;
-  // Per-strategy coverage slices: each strategy's own bucket set and
-  // new-bucket timeline, keyed by strategy name (std::map → name-sorted).
-  struct strategy_accum {
+  // Per-axis coverage slices: each model value's own bucket set and
+  // new-bucket timeline, keyed by value name (std::map → name-sorted).
+  struct slice_accum {
     std::uint64_t executed = 0;
     std::set<std::string> buckets;
     std::vector<std::pair<std::uint64_t, std::size_t>> timeline;
   };
-  std::map<std::string, strategy_accum> by_strategy;
-  // Same slicing by visibility model (sc/tso/pso) — the per-model table.
-  std::map<std::string, strategy_accum> by_visibility;
+  const std::vector<model_axis>& axes = model_axes();
+  std::vector<std::map<std::string, slice_accum>> slices(axes.size());
 
   // Shared on-disk corpus (multi-worker campaigns / resumed nightlies):
   // dumps we have already seen — our own or ingested — by filename.
@@ -271,15 +196,13 @@ fuzz_stats run_fuzz(
         stats.coverage.corpus.push_back({iter, seed, mutated, b.key()});
         dump_to_corpus(s, iter);
       }
-      strategy_accum& acc = by_strategy[b.sched];
-      ++acc.executed;
-      if (acc.buckets.insert(b.key()).second) {
-        acc.timeline.emplace_back(cov.executed(), acc.buckets.size());
-      }
-      strategy_accum& vacc = by_visibility[b.vis];
-      ++vacc.executed;
-      if (vacc.buckets.insert(b.key()).second) {
-        vacc.timeline.emplace_back(cov.executed(), vacc.buckets.size());
+      const std::string key = b.key();
+      for (std::size_t i = 0; i < axes.size(); ++i) {
+        slice_accum& acc = slices[i][b.*axes[i].bucket_field];
+        ++acc.executed;
+        if (acc.buckets.insert(key).second) {
+          acc.timeline.emplace_back(cov.executed(), acc.buckets.size());
+        }
       }
       continue;
     }
@@ -312,13 +235,11 @@ fuzz_stats run_fuzz(
   stats.coverage.executed = cov.executed();
   stats.coverage.distinct_buckets = cov.distinct();
   stats.coverage.timeline = cov.timeline();
-  for (const auto& [name, acc] : by_strategy) {
-    stats.coverage.by_strategy.push_back(
-        {name, acc.executed, acc.buckets.size(), acc.timeline});
-  }
-  for (const auto& [name, acc] : by_visibility) {
-    stats.coverage.by_visibility.push_back(
-        {name, acc.executed, acc.buckets.size(), acc.timeline});
+  for (const auto& axis_slices : slices) {
+    std::vector<slice_stats>& out = stats.coverage.by_axis.emplace_back();
+    for (const auto& [value, acc] : axis_slices) {
+      out.push_back({value, acc.executed, acc.buckets.size(), acc.timeline});
+    }
   }
   return stats;
 }

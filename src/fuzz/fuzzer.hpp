@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fuzz/coverage.hpp"
@@ -88,22 +89,24 @@ struct corpus_entry {
   std::uint64_t seed = 0;
   bool mutated = false;
   std::string bucket;
+  int worker = -1;  // forked campaigns: the worker that found it first
 };
 
-/// Per-schedule-strategy slice of the coverage accounting: how many
-/// scenarios each strategy drove and how many distinct buckets they reached
-/// — the numbers the PCT-vs-uniform comparison (and job_summary's
-/// per-strategy table) are built on.
-struct strategy_stats {
-  std::string strategy;
+/// One value's slice of a model axis's coverage accounting (axes.hpp): how
+/// many scenarios ran under the value and how many distinct buckets they
+/// reached — the numbers the PCT-vs-uniform and sc-vs-tso-vs-pso
+/// comparisons (and job_summary's by_* tables) are built on.
+struct slice_stats {
+  std::string value;
   std::uint64_t executed = 0;
   std::size_t distinct_buckets = 0;
-  /// (campaign-executed-so-far, this-strategy's-distinct-so-far), one sample
-  /// per bucket novel *within the strategy's slice*.
+  /// (campaign-executed-so-far, this-slice's-distinct-so-far), one sample
+  /// per bucket novel *within the slice*.
   std::vector<std::pair<std::uint64_t, std::size_t>> timeline;
 };
 
-/// Campaign-level coverage accounting — what `coverage.json` serializes.
+/// Campaign-level coverage accounting — what `coverage.json` serializes
+/// (see coverage_json in campaign.hpp).
 struct coverage_stats {
   std::uint64_t executed = 0;       // scenarios that ran the full oracle
   std::size_t distinct_buckets = 0;
@@ -111,15 +114,13 @@ struct coverage_stats {
   /// (executed-so-far, distinct-so-far), one sample per novel bucket.
   std::vector<std::pair<std::uint64_t, std::size_t>> timeline;
   std::vector<corpus_entry> corpus;
-  /// One entry per strategy that drove at least one scenario (name-sorted).
-  std::vector<strategy_stats> by_strategy;
-  /// Same accounting sliced by store-buffer visibility model (sc/tso/pso,
-  /// name-sorted; reuses strategy_stats with `strategy` holding the model
-  /// name) — the numbers job_summary's per-visibility-model table reads.
-  std::vector<strategy_stats> by_visibility;
+  /// Per model axis, in model_axes() order: one slice per value that drove
+  /// at least one scenario (value-sorted).
+  std::vector<std::vector<slice_stats>> by_axis;
 
-  /// Machine-readable summary (the `fuzz_main --coverage-out` payload).
-  std::string to_json(std::uint64_t base_seed, std::uint64_t iterations) const;
+  /// The slices of the axis named `axis` ("sched", "persist",
+  /// "visibility"); empty when it drove nothing.
+  const std::vector<slice_stats>& slices(std::string_view axis) const;
 };
 
 struct fuzz_failure {
@@ -149,10 +150,5 @@ fuzz_stats run_fuzz(
     const fuzz_options& opt,
     const std::function<void(std::uint64_t, std::uint64_t,
                              const std::string&)>& progress = nullptr);
-
-/// One fuzz iteration against one kind; returns the failure message (empty
-/// on success) and bumps `*replays` per scenario replay performed.
-std::string fuzz_one(std::uint64_t seed, const std::string& kind,
-                     const fuzz_options& opt, std::uint64_t* replays);
 
 }  // namespace detect::fuzz

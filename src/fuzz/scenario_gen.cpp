@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "fuzz/axes.hpp"
 
 namespace detect::fuzz {
 
@@ -34,94 +35,6 @@ std::pair<const int, std::vector<hist::op_desc>>* script_at(
   auto it = s.scripts.begin();
   std::advance(it, static_cast<long>(idx % s.scripts.size()));
   return &*it;
-}
-
-/// Has a draw pool been opted into (anything beyond its single default
-/// entry)? Default pools draw nothing, which keeps the historical xorshift
-/// stream — and every pinned campaign count — byte-identical.
-bool pool_enabled(const std::vector<std::string>& pool, const char* dflt) {
-  return !pool.empty() && (pool.size() > 1 || pool[0] != dflt);
-}
-
-/// Step horizon pct preemption points are drawn over: roughly the scenario's
-/// expected run length (announce + op body per scripted op).
-std::uint64_t pct_horizon(const api::scripted_scenario& s) {
-  return 24 + 12 * static_cast<std::uint64_t>(s.total_ops());
-}
-
-/// Draw a pct budget in [1, pct_depth] and that many preemption points from
-/// the shared stream.
-sched::sched_policy draw_pct_policy(std::uint64_t& rng,
-                                    const api::scripted_scenario& s,
-                                    const gen_config& cfg) {
-  sched::sched_policy p;
-  p.strat = sched::strategy::pct;
-  const std::uint64_t depth =
-      pick(rng, 1, static_cast<std::uint64_t>(std::max(1, cfg.pct_depth)));
-  const std::uint64_t horizon = pct_horizon(s);
-  for (std::uint64_t i = 0; i < depth; ++i) {
-    p.pct_points.push_back(1 + next_rand(rng) % horizon);
-  }
-  std::sort(p.pct_points.begin(), p.pct_points.end());
-  p.pct_points.erase(
-      std::unique(p.pct_points.begin(), p.pct_points.end()),
-      p.pct_points.end());
-  return p;
-}
-
-/// Draw one strategy from the pool (after the scripts, so pct horizons see
-/// the final op count).
-sched::sched_policy draw_sched_policy(std::uint64_t& rng,
-                                      const api::scripted_scenario& s,
-                                      const gen_config& cfg) {
-  const std::string& name =
-      cfg.sched_pool[next_rand(rng) % cfg.sched_pool.size()];
-  std::optional<sched::strategy> strat = sched::strategy_from_name(name);
-  if (!strat) {
-    throw std::invalid_argument("scenario_gen: unknown schedule strategy '" +
-                                name + "' in sched_pool");
-  }
-  if (*strat == sched::strategy::pct) return draw_pct_policy(rng, s, cfg);
-  sched::sched_policy p;
-  p.strat = *strat;
-  return p;
-}
-
-nvm::persist_model draw_persist_model(std::uint64_t& rng,
-                                      const gen_config& cfg) {
-  const std::string& name =
-      cfg.persist_pool[next_rand(rng) % cfg.persist_pool.size()];
-  nvm::persist_model m = nvm::persist_model::strict;
-  if (!nvm::persist_from_name(name, m)) {
-    throw std::invalid_argument("scenario_gen: unknown persist model '" +
-                                name + "' in persist_pool");
-  }
-  return m;
-}
-
-wmm::visibility_model draw_visibility_model(std::uint64_t& rng,
-                                            const gen_config& cfg) {
-  const std::string& name =
-      cfg.visibility_pool[next_rand(rng) % cfg.visibility_pool.size()];
-  wmm::visibility_model m = wmm::visibility_model::sc;
-  if (!wmm::visibility_from_name(name, m)) {
-    throw std::invalid_argument("scenario_gen: unknown visibility model '" +
-                                name + "' in visibility_pool");
-  }
-  return m;
-}
-
-/// Draw a small scripted full-drain plan (0–3 points) over the scenario's
-/// step horizon. Only called for tso/pso scenarios; under sc the plan stays
-/// empty (enforce_contracts clears strays).
-void draw_drain_points(std::uint64_t& rng, api::scripted_scenario& s) {
-  const std::uint64_t n = pick(rng, 0, 3);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    s.drain_steps.push_back(1 + next_rand(rng) % pct_horizon(s));
-  }
-  std::sort(s.drain_steps.begin(), s.drain_steps.end());
-  s.drain_steps.erase(std::unique(s.drain_steps.begin(), s.drain_steps.end()),
-                      s.drain_steps.end());
 }
 
 }  // namespace
@@ -173,10 +86,13 @@ hist::op_desc random_op(std::uint64_t& rng, api::op_family family, int pid,
 
 void enforce_contracts(api::scripted_scenario& s) {
   const api::object_registry& reg = api::object_registry::global();
-  // Drain points only mean something when there are store buffers to drain;
-  // under sc a mutation that flipped visibility back must not leave a stale
-  // plan behind (the v6 dump would suggest semantics the run does not have).
-  if (s.visibility == wmm::visibility_model::sc) s.drain_steps.clear();
+  // Model-axis points only mean something under values that use them (pct
+  // preemptions, tso/pso drains); a mutation that moved the value back must
+  // not leave a stale list behind (the dump would suggest semantics the run
+  // does not have).
+  for (const model_axis& ax : model_axes()) {
+    if (ax.points != nullptr && !ax.points_live(s)) ax.points_of(s).clear();
+  }
   bool all_detectable = true;
   bool any_lock = false;
   std::map<std::uint32_t, api::op_family> families;
@@ -404,18 +320,11 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
     }
     s.scripts[pid] = std::move(ops);
   }
-  // Schedule/persistency draws come LAST (pct horizons want the final op
-  // count) and only when the pools are opted in — default pools draw
-  // nothing, so historical (seed, kind) scenarios stay byte-identical.
-  if (pool_enabled(cfg.sched_pool, "uniform_random")) {
-    s.sched = draw_sched_policy(rng, s, cfg);
-  }
-  if (pool_enabled(cfg.persist_pool, "strict")) {
-    s.persist = draw_persist_model(rng, cfg);
-  }
-  if (pool_enabled(cfg.visibility_pool, "sc")) {
-    s.visibility = draw_visibility_model(rng, cfg);
-    if (s.visibility != wmm::visibility_model::sc) draw_drain_points(rng, s);
+  // Model-axis draws come LAST (point horizons want the final op count) and
+  // only when the pools are opted in — default pools draw nothing, so
+  // historical (seed, kind) scenarios stay byte-identical.
+  for (const model_axis& ax : model_axes()) {
+    if (pool_open(ax, cfg)) draw_axis(ax, rng, s, cfg);
   }
   enforce_contracts(s);
   return s;
@@ -426,71 +335,30 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
   api::scripted_scenario s = base;
   // Extra mutation cases exist only when their pools are opted in, so the
   // default-config case distribution (and every pinned campaign count built
-  // on it) is untouched.
-  const bool sched_on = pool_enabled(cfg.sched_pool, "uniform_random");
-  const bool persist_on = pool_enabled(cfg.persist_pool, "strict");
-  const bool vis_on = pool_enabled(cfg.visibility_pool, "sc");
-  const std::uint64_t cases =
-      13 + (sched_on ? 2 : 0) + (persist_on ? 1 : 0) + (vis_on ? 2 : 0);
+  // on it) is untouched: per opened axis, in table order, a value edit plus
+  // a point edit when the axis carries points.
+  std::uint64_t cases = 13;
+  for (const model_axis& ax : model_axes()) {
+    if (pool_open(ax, cfg)) cases += ax.points != nullptr ? 2 : 1;
+  }
   // Draw mutations until one applies (bounded — a scenario with nothing to
   // edit in some dimension just falls through to a knob flip eventually).
   for (int attempt = 0; attempt < 8; ++attempt) {
     bool applied = true;
     const std::uint64_t c = next_rand(rng) % cases;
     if (c >= 13) {
-      // Extra cases in fixed order: sched redraw, pct perturb, persist
-      // flip, visibility redraw, drain-point edit — each present only when
-      // its pool is opted in, so indices shift but never reorder.
-      const std::uint64_t extra = c - 13;
-      const std::uint64_t persist_at = sched_on ? 2 : 0;
-      const std::uint64_t vis_at = persist_at + (persist_on ? 1 : 0);
-      if (sched_on && extra == 0) {
-        // Re-draw the whole schedule policy from the pool.
-        s.sched = draw_sched_policy(rng, s, cfg);
-      } else if (sched_on && extra == 1) {
-        // Perturb a pct budget: add a point or drop one.
-        if (s.sched.strat != sched::strategy::pct) {
-          applied = false;
-        } else if (s.sched.pct_points.empty() || next_rand(rng) % 2 == 0) {
-          s.sched.pct_points.push_back(1 + next_rand(rng) % pct_horizon(s));
-          std::sort(s.sched.pct_points.begin(), s.sched.pct_points.end());
-          s.sched.pct_points.erase(std::unique(s.sched.pct_points.begin(),
-                                               s.sched.pct_points.end()),
-                                   s.sched.pct_points.end());
-        } else {
-          s.sched.pct_points.erase(
-              s.sched.pct_points.begin() +
-              static_cast<long>(next_rand(rng) % s.sched.pct_points.size()));
+      std::uint64_t extra = c - 13;
+      for (const model_axis& ax : model_axes()) {
+        if (!pool_open(ax, cfg)) continue;
+        if (extra == 0) {
+          mutate_axis(ax, rng, s, cfg);
+          break;
         }
-      } else if (persist_on && extra == persist_at) {
-        // persist flip
-        s.persist = s.persist == nvm::persist_model::strict
-                        ? nvm::persist_model::buffered
-                        : nvm::persist_model::strict;
-      } else if (vis_on && extra == vis_at) {
-        // Re-draw visibility (with a fresh drain plan for a non-sc draw;
-        // enforce_contracts clears the plan when the draw lands on sc).
-        s.visibility = draw_visibility_model(rng, cfg);
-        s.drain_steps.clear();
-        if (s.visibility != wmm::visibility_model::sc) {
-          draw_drain_points(rng, s);
+        if (ax.points != nullptr && extra == 1) {
+          applied = perturb_points(ax, rng, s);
+          break;
         }
-      } else {
-        // Perturb the drain plan: add a point or drop one. Only meaningful
-        // with live store buffers.
-        if (s.visibility == wmm::visibility_model::sc) {
-          applied = false;
-        } else if (s.drain_steps.empty() || next_rand(rng) % 2 == 0) {
-          s.drain_steps.push_back(1 + next_rand(rng) % pct_horizon(s));
-          std::sort(s.drain_steps.begin(), s.drain_steps.end());
-          s.drain_steps.erase(
-              std::unique(s.drain_steps.begin(), s.drain_steps.end()),
-              s.drain_steps.end());
-        } else {
-          s.drain_steps.erase(
-              s.drain_steps.begin() +
-              static_cast<long>(next_rand(rng) % s.drain_steps.size()));
-        }
+        extra -= ax.points != nullptr ? 2 : 1;
       }
       if (applied) break;
       continue;

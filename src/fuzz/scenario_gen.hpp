@@ -84,22 +84,15 @@ struct gen_config {
   /// second script round would see different (shard-local) crash schedules
   /// on the two sides of the cross-backend diffs.
   bool allow_migrations = true;
-  /// Schedule-strategy pool: each scenario draws its exploration strategy
-  /// uniformly from this list ("round_robin", "uniform_random", "pct"). The
-  /// default keeps the historical draw stream byte-identical — no schedule
-  /// draw happens at all, and every scenario stays uniform_random. A "pct"
-  /// draw also picks a preemption budget in [1, pct_depth] and materializes
-  /// that many preemption points over the scenario's expected step horizon.
+  /// Model-axis pools (axes.hpp): each scenario draws its schedule strategy,
+  /// persistency model and visibility model uniformly from these lists. A
+  /// pool holding only its default draws nothing, which keeps historical
+  /// seed streams byte-identical. A "pct" draw also picks a preemption
+  /// budget in [1, pct_depth], and a tso/pso draw up to three scripted
+  /// full-drain points, over the scenario's expected step horizon.
   std::vector<std::string> sched_pool{"uniform_random"};
   int pct_depth = 3;
-  /// Persistency-model pool, same shape ("strict", "buffered"); the default
-  /// draws nothing and keeps every scenario strict.
   std::vector<std::string> persist_pool{"strict"};
-  /// Store-buffer visibility-model pool, same shape ("sc", "tso", "pso");
-  /// the default draws nothing and keeps every scenario sc — historic seed
-  /// streams stay byte-identical. A non-sc draw also draws up to three
-  /// scripted full-drain points over the scenario's step horizon
-  /// (drain_steps), on top of the drain steps the scheduler explores freely.
   std::vector<std::string> visibility_pool{"sc"};
 };
 

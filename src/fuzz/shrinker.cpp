@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "fuzz/axes.hpp"
+
 namespace detect::fuzz {
 
 namespace {
@@ -52,10 +54,13 @@ std::vector<int> pids_of(const api::scripted_scenario& s) {
 /// predicate runs.
 bool respects_contracts(const api::scripted_scenario& s) {
   const api::object_registry& reg = api::object_registry::global();
-  // Drain plans only mean something with live store buffers; an sc
-  // candidate carrying one is non-canonical (enforce_contracts clears it).
-  if (s.visibility == wmm::visibility_model::sc && !s.drain_steps.empty()) {
-    return false;
+  // Model-axis points only mean something under values that use them; a
+  // candidate carrying stale ones is non-canonical (enforce_contracts clears
+  // them).
+  for (const model_axis& ax : model_axes()) {
+    if (ax.points != nullptr && !ax.points_live(s) && !ax.points(s)->empty()) {
+      return false;
+    }
   }
   bool any_lock = false;
   for (const api::scenario_object& o : s.objects) {
@@ -121,47 +126,28 @@ api::scripted_scenario shrink(api::scripted_scenario s,
   for (int round = 0; round < max_rounds; ++round) {
     bool progress = false;
 
-    // 0. Schedule canonicalization — before any structural pass, so
-    // schedule-independent failures shrink on the canonical (round_robin,
-    // strict) schedule and schedule-dependent ones keep only the preemption
-    // points they actually need.
-    progress |= try_edit(s, fails, [](api::scripted_scenario& c) {
-      if (c.sched == sched::sched_policy{.strat =
-                                             sched::strategy::round_robin}) {
-        return false;
-      }
-      c.sched = {.strat = sched::strategy::round_robin};
-      return true;
-    });
-    progress |= try_edit(s, fails, [](api::scripted_scenario& c) {
-      if (c.persist == nvm::persist_model::strict) return false;
-      c.persist = nvm::persist_model::strict;
-      return true;
-    });
-    // Visibility canonicalization: failures that do not need delayed store
-    // visibility shrink back to sc (dropping the drain plan with it), and
-    // ones that do keep only the explicit drain points they actually need —
-    // the repro then reads as "these specific drains, nothing else".
-    progress |= try_edit(s, fails, [](api::scripted_scenario& c) {
-      if (c.visibility == wmm::visibility_model::sc) return false;
-      c.visibility = wmm::visibility_model::sc;
-      c.drain_steps.clear();
-      return true;
-    });
-    for (int i = static_cast<int>(s.drain_steps.size()) - 1; i >= 0; --i) {
-      progress |= try_edit(s, fails, [i](api::scripted_scenario& c) {
-        if (i >= static_cast<int>(c.drain_steps.size())) return false;
-        c.drain_steps.erase(c.drain_steps.begin() + i);
-        return true;
+    // 0. Model-axis canonicalization — before any structural pass, so
+    // model-independent failures shrink on the canonical (round_robin,
+    // strict, sc) models, and model-dependent ones keep only the points
+    // (preemptions, scripted drains) they actually need: the repro then
+    // reads as "these specific points, nothing else". Points drop in reverse
+    // table order (drains before preemptions).
+    for (const model_axis& ax : model_axes()) {
+      progress |= try_edit(s, fails, [&ax](api::scripted_scenario& c) {
+        return canonicalize(ax, c);
       });
     }
-    for (int i = static_cast<int>(s.sched.pct_points.size()) - 1; i >= 0;
-         --i) {
-      progress |= try_edit(s, fails, [i](api::scripted_scenario& c) {
-        if (i >= static_cast<int>(c.sched.pct_points.size())) return false;
-        c.sched.pct_points.erase(c.sched.pct_points.begin() + i);
-        return true;
-      });
+    const std::vector<model_axis>& axes = model_axes();
+    for (auto ax = axes.rbegin(); ax != axes.rend(); ++ax) {
+      if (ax->points == nullptr) continue;
+      for (int i = static_cast<int>(ax->points(s)->size()) - 1; i >= 0; --i) {
+        progress |= try_edit(s, fails, [&ax, i](api::scripted_scenario& c) {
+          std::vector<std::uint64_t>& points = ax->points_of(c);
+          if (i >= static_cast<int>(points.size())) return false;
+          points.erase(points.begin() + i);
+          return true;
+        });
+      }
     }
 
     // 1. Whole processes, highest pid first (dropping a later pid leaves the

@@ -5,11 +5,11 @@
 // failure, until a whole round makes no progress (or the round budget is
 // exhausted). The edit order goes coarse to fine so big cuts land first:
 //
-//   0. canonicalize the schedule (smart minimization): try strategy →
-//      round_robin and persist → strict wholesale, then drop pct preemption
-//      points one at a time — a failure that survives on the canonical
-//      schedule is schedule-independent and every later pass explores the
-//      simpler artifact; one that does not keeps only the preemptions it
+//   0. canonicalize the model axes (axes.hpp) to their shrink targets
+//      (round_robin, strict, sc), then drop their points (drain steps,
+//      then pct preemptions) one at a time — a failure that survives on the
+//      canonical models is model-independent and every later pass explores
+//      the simpler artifact; one that does not keeps only the points it
 //      actually needs,
 //   1. drop whole per-process scripts (and renumber pids densely),
 //   2. chop op-suffix halves, then individual ops, then migration steps

@@ -367,13 +367,4 @@ check_result check_durable_linearizability_per_object(
   return check_object_streams(streams, opt);
 }
 
-check_result check_durable_linearizability_per_object(
-    const std::vector<event>& events, const object_spec_list& specs,
-    std::size_t node_budget, lin_memo* memo) {
-  check_options opt;
-  opt.node_budget = node_budget;
-  opt.memo = memo;
-  return check_durable_linearizability_per_object(events, specs, opt);
-}
-
 }  // namespace detect::hist

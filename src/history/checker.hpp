@@ -180,11 +180,6 @@ check_result check_durable_linearizability_per_object(
     const std::vector<event>& events, const object_spec_list& specs,
     const check_options& opt);
 
-/// Deprecated pre-check_options form (thin shim; prefer the overload above).
-check_result check_durable_linearizability_per_object(
-    const std::vector<event>& events, const object_spec_list& specs,
-    std::size_t node_budget = k_default_node_budget, lin_memo* memo = nullptr);
-
 /// One object's pre-projected sub-history with its spec — what the sharded
 /// executor's migrated-object path assembles by hand (prefix carried across
 /// shards + the hosting shard's slice), where no single event vector exists

@@ -27,11 +27,6 @@ std::vector<std::uint64_t> rebalancer::window_load(
   return load;
 }
 
-double rebalancer::window_ratio(
-    const std::map<std::uint32_t, int>& homes) const {
-  return api::load_ratio(window_load(homes));
-}
-
 std::vector<planned_move> rebalancer::maybe_plan(
     const std::map<std::uint32_t, int>& homes,
     const std::vector<std::uint32_t>& frozen) {

@@ -62,9 +62,6 @@ class rebalancer {
   std::vector<std::uint64_t> window_load(
       const std::map<std::uint32_t, int>& homes) const;
 
-  /// api::load_ratio of window_load(homes).
-  double window_ratio(const std::map<std::uint32_t, int>& homes) const;
-
   /// Evaluate after record_round(). Returns a (possibly empty) move plan;
   /// non-empty only when enabled, the evaluation cadence is due, and the
   /// imbalance has been sustained. Objects in `frozen` (e.g. with queued

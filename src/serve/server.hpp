@@ -174,13 +174,6 @@ class server {
   /// same parallel driver the fuzzer does.
   hist::check_result check(const hist::check_options& opt = {}) const;
 
-  /// Deprecated pre-check_options form (thin shim; prefer check(options)).
-  hist::check_result check(std::size_t node_budget) const {
-    hist::check_options opt;
-    opt.node_budget = node_budget;
-    return check(opt);
-  }
-
   /// The executor's current object→shard assignment (reflects rebalancer
   /// moves).
   api::placement_policy current_assignment() const;

@@ -136,15 +136,19 @@ TEST(campaign, forked_coverage_merges_to_the_serial_campaign) {
   EXPECT_EQ(f.stats.coverage.distinct_buckets,
             s.stats.coverage.distinct_buckets);
 
-  // Per-strategy executed/distinct recomputed from the union match serial.
-  auto strategy_map = [](const fuzz::coverage_stats& cov) {
-    std::set<std::tuple<std::string, std::uint64_t, std::size_t>> m;
-    for (const fuzz::strategy_stats& st : cov.by_strategy) {
-      m.insert({st.strategy, st.executed, st.distinct_buckets});
+  // Per-axis executed/distinct recomputed from the union match serial.
+  auto slice_map = [](const fuzz::coverage_stats& cov) {
+    std::set<std::tuple<std::string, std::string, std::uint64_t, std::size_t>>
+        m;
+    for (const fuzz::model_axis& ax : fuzz::model_axes()) {
+      for (const fuzz::slice_stats& st : cov.slices(ax.name)) {
+        m.insert({ax.name, st.value, st.executed, st.distinct_buckets});
+      }
     }
     return m;
   };
-  EXPECT_EQ(strategy_map(f.stats.coverage), strategy_map(s.stats.coverage));
+  EXPECT_EQ(slice_map(f.stats.coverage), slice_map(s.stats.coverage));
+  EXPECT_EQ(slice_map(f.stats.coverage).size(), fuzz::model_axes().size());
 
   // The artifacts dir holds one complete summary per worker, and the merged
   // JSON carries the campaign-level keys job_summary renders.

@@ -207,9 +207,8 @@ TEST(check_parallel, shared_memo_is_thread_safe_under_parallel_checks) {
   EXPECT_GT(memo.hits(), 0u);
 }
 
-// The deprecated two-arg entry points must stay exact aliases of the
-// options form — downstream callers migrate at their own pace.
-TEST(check_parallel, deprecated_shims_alias_the_options_form) {
+// A memo threaded through the options form never changes the verdict.
+TEST(check_parallel, memo_option_matches_the_plain_replay) {
   fuzz::gen_config cfg;
   cfg.max_objects = 2;
   cfg.object_kind_pool = {"reg", "queue"};
@@ -217,14 +216,14 @@ TEST(check_parallel, deprecated_shims_alias_the_options_form) {
   api::scripted_outcome base = api::replay(s);
 
   hist::lin_memo memo;
-  api::scripted_outcome via_memo_shim = api::replay(s, &memo);
-  expect_same_check(base.check, via_memo_shim.check, 77);
-
   hist::check_options opt;
   opt.memo = &memo;
   api::scripted_outcome via_options = api::replay(s, opt);
   expect_same_check(base.check, via_options.check, 77);
-  EXPECT_GT(memo.hits() + memo.misses(), 0u);
+  EXPECT_GT(memo.misses(), 0u);
+  api::scripted_outcome warm = api::replay(s, opt);  // served by the memo
+  expect_same_check(base.check, warm.check, 77);
+  EXPECT_GT(memo.hits(), 0u);
 }
 
 }  // namespace

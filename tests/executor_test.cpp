@@ -288,9 +288,11 @@ TEST(per_object_decomposition, beats_the_product_spec_on_3x64_ops) {
 
   api::harness h = build();
   constexpr std::size_t budget = 2'000'000;
+  hist::check_options opt;
+  opt.node_budget = budget;
   hist::check_result product =
       hist::check_durable_linearizability(h.events(), *h.spec(), budget);
-  hist::check_result decomposed = h.check_per_object(budget);
+  hist::check_result decomposed = h.check_per_object(opt);
 
   ASSERT_TRUE(decomposed.ok) << decomposed.message;
   ASSERT_GT(decomposed.nodes, 0u);
@@ -314,7 +316,7 @@ TEST(per_object_decomposition, beats_the_product_spec_on_3x64_ops) {
                    c.read(), a.write(p + 8), c.read()});
   }
   ex->run();
-  hist::check_result sharded_check = ex->check(budget);
+  hist::check_result sharded_check = ex->check(opt);
   EXPECT_TRUE(sharded_check.ok) << sharded_check.message;
   EXPECT_EQ(ex->events().size(), 2u * 64u);  // every op invoked + responded
 }
@@ -325,7 +327,7 @@ TEST(per_object_decomposition, flags_objects_without_specs) {
   h.script(0, {r.write(1)});
   h.run();
   hist::check_result res = hist::check_durable_linearizability_per_object(
-      h.events(), /*specs=*/{});
+      h.events(), /*specs=*/{}, hist::check_options{});
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.message.find("no spec for object id"), std::string::npos);
 }
@@ -356,7 +358,7 @@ TEST(per_object_decomposition, catches_per_object_violations) {
   hist::register_spec spec0(0);
   hist::register_spec spec1(0);
   hist::check_result res = hist::check_durable_linearizability_per_object(
-      events, {{0, &spec0}, {1, &spec1}});
+      events, {{0, &spec0}, {1, &spec1}}, hist::check_options{});
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.message.find("object 1"), std::string::npos) << res.message;
   // The worst offender is named with its node count (satellite: deep-fuzz

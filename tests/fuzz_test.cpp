@@ -658,14 +658,16 @@ TEST(coverage, steering_beats_random_by_1_5x_on_5k_iterations) {
 }
 
 TEST(coverage, stats_serialize_to_json) {
-  fuzz::coverage_stats st;
+  fuzz::campaign_result r;
+  fuzz::coverage_stats& st = r.stats.coverage;
   st.executed = 10;
   st.distinct_buckets = 2;
   st.steered = true;
   st.timeline = {{1, 1}, {4, 2}};
   st.corpus = {{0, 123, false, "kinds=reg|mix=reg:3"},
                {3, 456, true, "kinds=cas|mix=cas:1"}};
-  std::string json = st.to_json(7, 10);
+  std::string json =
+      fuzz::coverage_json(fuzz::campaign_config().seed(7).iterations(10), r);
   EXPECT_NE(json.find("\"base_seed\": 7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"distinct_buckets\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"steered\": true"), std::string::npos);
@@ -956,6 +958,100 @@ TEST(replay_dump, parse_errors_carry_line_number_and_token) {
   msg = message_of("kind reg\nbackend warp\n");
   EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
   EXPECT_NE(msg.find("warp"), std::string::npos) << msg;
+}
+
+// Numeric lines take digits only, exactly as many as the key wants: a
+// trailing token, a sign or an out-of-range value is a line error, never a
+// silent truncation or wrap-around.
+TEST(replay_dump, numeric_lines_reject_trailing_tokens_and_negatives) {
+  const std::string head = "object 0 reg 0 64\n";
+  const std::string tail = "script 0 reg_read:0:0\n";
+  auto rejects = [&](const std::string& line) {
+    try {
+      api::parse_scenario(head + line + "\n" + tail);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).rfind("parse_scenario: line 2: ", 0) == 0;
+    }
+    return false;
+  };
+  for (const char* line : {
+           "procs 3 junk", "procs -1", "procs 0", "procs", "procs 1 2",
+           "procs 99999999999",
+           "shared_cache 1 1", "shared_cache -1", "shared_cache 2",
+           "sched_seed -1", "sched_seed 5 x", "sched_seed",
+           "sched_seed 18446744073709551616",
+           "shards 2 x", "shards -2", "shards 0",
+           "crash_steps 5 x 7", "crash_steps -1", "crash_steps +3",
+           "drain_steps 5 x 7", "drain_steps -1", "drain_steps 0x10",
+           "migrate 0 1 2", "migrate 0 -1", "migrate -1 0", "migrate 0",
+       }) {
+    EXPECT_TRUE(rejects(line)) << line;
+  }
+  // The well-formed forms still parse.
+  api::scripted_scenario s = api::parse_scenario(
+      head + "procs 3\nshared_cache 1\nsched_seed 18446744073709551615\n"
+             "shards 2\ncrash_steps 5 7\ncrash_steps 9\nvisibility tso\n"
+             "drain_steps\nmigrate 0 1\n" + tail);
+  EXPECT_EQ(s.nprocs, 3);
+  EXPECT_TRUE(s.shared_cache);
+  EXPECT_EQ(s.sched_seed, 18446744073709551615ull);
+  EXPECT_EQ(s.shards, 2);
+  EXPECT_EQ(s.crash_steps, (std::vector<std::uint64_t>{5, 7, 9}));
+  EXPECT_TRUE(s.drain_steps.empty());
+  ASSERT_EQ(s.migrations.size(), 1u);
+}
+
+// Byte-mutation self-fuzz of the parser (campaign workers ingest each
+// other's corpus files from disk): every mutant of a generated dump either
+// parses to a dump fixpoint or throws std::invalid_argument carrying the
+// parse_scenario prefix — no other exception, crash or silent drift. The
+// sanitizer pass runs this under ASan/UBSan.
+TEST(replay_dump, byte_mutants_parse_to_a_fixpoint_or_fail_cleanly) {
+  fuzz::gen_config cfg;
+  cfg.max_objects = 3;
+  cfg.object_kind_pool = {"reg", "cas", "queue", "lock"};
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  cfg.visibility_pool = {"sc", "tso", "pso"};
+  const std::string alphabet = "0123456789 -+:@\n#abcxyz_";
+  std::uint64_t rng = 0x5eed;
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const std::string dump = api::dump(fuzz::generate(seed, "reg", cfg));
+    for (int m = 0; m < 60; ++m) {
+      std::string text = dump;
+      const int edits = 1 + static_cast<int>(sim::next_rand(rng) % 3);
+      for (int e = 0; e < edits; ++e) {
+        const std::size_t at = sim::next_rand(rng) % (text.size() + 1);
+        const char c = alphabet[sim::next_rand(rng) % alphabet.size()];
+        switch (sim::next_rand(rng) % 3) {
+          case 0:
+            if (at < text.size()) text[at] = c;
+            break;
+          case 1:
+            text.insert(at, 1, c);
+            break;
+          default:
+            if (at < text.size()) text.erase(at, 1);
+            break;
+        }
+      }
+      try {
+        const std::string once = api::dump(api::parse_scenario(text));
+        EXPECT_EQ(api::dump(api::parse_scenario(once)), once) << text;
+        ++parsed;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("parse_scenario: ", 0), 0u)
+            << e.what() << "\n" << text;
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "escaped " << e.what() << "\n" << text;
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // The ISSUE-4 parser hardening: duplicate object ids and ops targeting an

@@ -318,7 +318,7 @@ TEST(coverage_ab, pct_reaches_1_3x_the_schedule_novelty_buckets_of_uniform) {
     opt.gen.pct_depth = 3;
     fuzz::fuzz_stats stats = fuzz::run_fuzz(opt);
     EXPECT_FALSE(stats.failure.has_value());
-    EXPECT_EQ(stats.coverage.by_strategy.size(), 1u);
+    EXPECT_EQ(stats.coverage.slices("sched").size(), 1u);
     return stats.coverage.distinct_buckets;
   };
   const std::size_t uniform = campaign("uniform_random");

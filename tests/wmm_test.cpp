@@ -577,6 +577,25 @@ TEST(planted_tso_bug, shrinker_keeps_tso_and_minimizes_drains) {
   EXPECT_LE(shrunk.drain_steps.size(), 2u);
 }
 
+// Differ failure messages name every model axis (built from the axis
+// table), so a store-buffer-only divergence reads as one.
+TEST(planted_tso_bug, differ_failure_names_every_model_axis) {
+  register_tso_counter_once();
+  api::scripted_scenario p =
+      fuzz::generate(k_first_tso_seed, "test_tso_reg", tso_pool_cfg());
+  p.drain_steps = {100000};  // past the run's end: named, never reached
+  const fuzz::diff_report r = fuzz::diff_against(p, "counter");
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.message.find(" visibility=tso"), std::string::npos)
+      << r.message;
+  EXPECT_NE(r.message.find(" sched=uniform_random"), std::string::npos)
+      << r.message;
+  EXPECT_NE(r.message.find(" persist=strict"), std::string::npos)
+      << r.message;
+  EXPECT_NE(r.message.find(" drain_steps=100000"), std::string::npos)
+      << r.message;
+}
+
 // ---- registry-wide cleanliness ----------------------------------------------
 
 // Every real kind stays clean under tso and pso: the runtime's response
