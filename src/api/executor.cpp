@@ -4,13 +4,11 @@
 #include "util/task_pool.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -145,14 +143,14 @@ class single_executor final : public executor {
 // sharded — K one-world harnesses with placement-policy routing and live
 // object migration between runs.
 
-/// Worker count for the sharded backend's driver pool (a util::task_pool
-/// instance owned per executor, so a fuzz campaign's thousands of run()
-/// calls reuse the same OS threads): an explicit request
+/// Driver lanes for the sharded backend: how many shards one run() drives at
+/// once on the process-wide util::task_pool::shared() pool (the submitting
+/// thread is one of the lanes). An explicit request
 /// (builder().pool_threads(n) > 0) wins, then the DETECT_POOL_THREADS env
 /// override, then auto = hardware cores. The result is capped at `shards`
-/// (extra workers would idle) and collapses to 0 (inline mode) when it is
-/// not at least 2 — one worker would serialize the batch anyway, through a
-/// slower path than the submitter's own loop.
+/// (extra lanes would idle) and at task_pool::k_max_workers, and collapses
+/// to 0 (inline mode) when it is not at least 2 — one lane would serialize
+/// the batch anyway.
 int shard_pool_workers(int shards, int requested) {
   int n = requested;
   if (n <= 0) {
@@ -165,7 +163,7 @@ int shard_pool_workers(int shards, int requested) {
     if (hw == 0) hw = 1;  // unknown → assume a lone core
     n = static_cast<int>(hw);
   }
-  n = std::min(n, shards);
+  n = std::min({n, shards, util::task_pool::k_max_workers});
   return n >= 2 ? n : 0;
 }
 
@@ -173,7 +171,8 @@ class sharded_executor final : public executor {
  public:
   explicit sharded_executor(const exec_policy& p)
       : pol_(p), placement_(p.placement),
-        pool_(shard_pool_workers(p.shards, p.pool_threads)) {
+        lanes_(shard_pool_workers(p.shards, p.pool_threads)) {
+    if (lanes_ > 0) util::task_pool::shared().ensure_workers(lanes_);
     shards_.reserve(static_cast<std::size_t>(p.shards));
     for (int k = 0; k < p.shards; ++k) {
       shards_.push_back(std::make_unique<harness>(build_harness(p)));
@@ -197,7 +196,7 @@ class sharded_executor final : public executor {
   const placement_policy& placement() const noexcept override {
     return placement_;
   }
-  int pool_workers() const noexcept override { return pool_.workers(); }
+  int pool_workers() const noexcept override { return lanes_; }
   placement_policy current_assignment() const override {
     std::map<std::uint32_t, int> pins;
     for (const auto& [id, rec] : placed_) pins.emplace(id, rec.shard);
@@ -267,24 +266,33 @@ class sharded_executor final : public executor {
     }
 
     // Worlds are self-contained (own processes, own NVM domain, thread-local
-    // access hooks), so shards run as one batch on the persistent driver
-    // pool; each shard stays internally deterministic, which is all replay
-    // reproducibility needs. On a single-core host the pool is empty and the
-    // batch runs inline, sequentially — same results, no thread traffic.
+    // access hooks), so shards run as one batch on the shared driver pool:
+    // up to lanes_ lanes, each pulling shard indices from one counter. Each
+    // shard stays internally deterministic, which is all replay
+    // reproducibility needs. With no lanes (a single-core host, or
+    // pool_threads(1)) the shards run inline, in order — same results, no
+    // thread traffic.
     std::vector<sim::run_report> reports(shards_.size());
     std::vector<std::exception_ptr> errors(shards_.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      jobs.push_back([this, k, &reports, &errors] {
+    std::atomic<std::size_t> next{0};
+    auto drive = [&] {
+      for (;;) {
+        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+        if (k >= shards_.size()) return;
         try {
           reports[k] = shards_[k]->run();
         } catch (...) {
           errors[k] = std::current_exception();
         }
-      });
+      }
+    };
+    if (lanes_ == 0) {
+      drive();
+    } else {
+      std::vector<std::function<void()>> jobs(
+          static_cast<std::size_t>(lanes_), drive);
+      util::task_pool::shared().run_batch(jobs);
     }
-    pool_.run_batch(jobs);
     for (const std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);
     }
@@ -532,9 +540,8 @@ class sharded_executor final : public executor {
   std::vector<std::vector<std::size_t>> round_marks_;
   std::uint32_t next_id_ = 0;
   bool any_migrated_ = false;
-  /// Last member: destroyed first, so workers are joined while everything
-  /// they might reference is still alive.
-  util::task_pool pool_;
+  /// Shards driven at once by run() (0 = inline); see shard_pool_workers().
+  int lanes_;
 };
 
 // ---------------------------------------------------------------------------

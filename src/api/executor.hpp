@@ -69,11 +69,12 @@ struct exec_policy {
   int shards = 1;  // sharded backend: number of sim::world shards
   /// Sharded backend: which shard hosts each object (see api/placement.hpp).
   placement_policy placement;
-  /// Sharded backend: driver-pool size for parallel shard runs. 0 = auto
-  /// (min(shards, hardware cores), inline below 2 workers). An explicit
-  /// value wins over auto AND over the DETECT_POOL_THREADS env override;
-  /// 1 means "run shards sequentially inline" (one worker would only add
-  /// handoff latency over the submitter's own loop).
+  /// Sharded backend: how many shards one run() drives at once on the
+  /// process-wide util::task_pool. 0 = auto (min(shards, hardware cores),
+  /// inline below 2 lanes). An explicit value wins over auto AND over the
+  /// DETECT_POOL_THREADS env override; 1 means "run shards sequentially
+  /// inline" (one lane would only add handoff latency over the submitter's
+  /// own loop).
   int pool_threads = 0;
   int nprocs = 2;
   core::runtime::fail_policy fail = core::runtime::fail_policy::skip;
@@ -106,7 +107,7 @@ class executor {
   virtual int shard_of(std::uint32_t object_id) const noexcept = 0;
   /// The active placement policy (modulo off the sharded backend).
   virtual const placement_policy& placement() const noexcept = 0;
-  /// Driver-pool workers actually running shard batches (0 = inline on the
+  /// Driver lanes a run() spreads its shards over (0 = inline on the
   /// submitting thread; always 0 off the sharded backend). See
   /// builder::pool_threads().
   virtual int pool_workers() const noexcept = 0;
@@ -225,8 +226,8 @@ class executor::builder {
     pol_.placement = std::move(p);
     return *this;
   }
-  /// Driver-pool size for the sharded backend: how many OS threads drive
-  /// shard batches in parallel. 0 (default) = auto-size to
+  /// Driver lanes for the sharded backend: how many shards run in parallel
+  /// on the process-wide pool. 0 (default) = auto-size to
   /// min(shards, hardware cores); 1 = inline sequential; the
   /// DETECT_POOL_THREADS environment variable overrides the auto choice
   /// only, so one-core CI and multi-core hosts bench the same binary.

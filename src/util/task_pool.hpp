@@ -1,13 +1,19 @@
-// util::task_pool — a persistent batch-draining worker pool.
+// util::task_pool — a persistent, caller-runs batch worker pool.
 //
-// Generalized from the sharded executor's driver pool so the per-object
-// checker can fan sub-checks onto the same machinery. Workers live for the
-// pool's lifetime (thousands of run_batch() calls reuse the same OS threads
-// instead of paying a spawn/join per batch), and — unlike the original
-// executor-private pool — batches are independently tracked, so *concurrent*
-// run_batch() calls from different submitter threads interleave safely on the
-// shared workers: each batch carries its own completion counter and the
-// submitter blocks only on its own jobs.
+// One process-wide instance (shared()) drives both the sharded executor's
+// shard worlds and the per-object checker's lanes. Workers live for the
+// pool's lifetime, so thousands of run_batch() calls reuse the same OS
+// threads instead of paying a spawn/join per batch. Batches are tracked
+// independently: concurrent run_batch() calls from different submitter
+// threads interleave on the shared workers, and each submitter waits only
+// for its own jobs.
+//
+// The submitter is a worker for its own batch: it claims and runs jobs from
+// the batch it queued, and only the jobs a woken worker claimed first are
+// waited for. A batch of short jobs therefore usually finishes on the
+// submitting thread before any worker wakes, a big batch still spreads over
+// the workers, and a job that submits a nested batch cannot deadlock (its
+// own thread can drain it).
 //
 // With zero workers the pool degrades to inline execution on the submitting
 // thread — identical semantics, zero synchronization — which is the graceful
@@ -16,8 +22,10 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,39 +51,37 @@ class task_pool {
   /// Thread-safe against concurrent run_batch() calls.
   void ensure_workers(int n);
 
-  /// Run every job to completion. Jobs must not throw (callers capture
-  /// exceptions into per-job result slots). Inline on the submitting thread
-  /// when the pool has no workers. Safe to call from several threads at
-  /// once; each call blocks until exactly its own jobs drain.
+  /// Run every job to completion; the submitting thread runs the jobs no
+  /// worker has claimed yet. Jobs must not throw (callers capture exceptions
+  /// into per-job result slots) and may call run_batch() themselves. Inline
+  /// on the submitting thread when the pool has no workers. Safe to call
+  /// from several threads at once; each call returns once exactly its own
+  /// jobs have finished, and by then the queue holds nothing of its batch.
   void run_batch(std::vector<std::function<void()>>& jobs);
 
-  /// Process-global pool, lazily created with zero workers. Consumers that
+  /// Batches waiting in the queue for a worker. Zero whenever no
+  /// run_batch() call is in flight.
+  std::size_t queued_batches() const;
+
+  /// Process-wide pool, lazily created with zero workers. Consumers that
   /// want parallelism call ensure_workers() first; until someone does, every
-  /// shared batch runs inline. The per-object checker drives its jobs > 1
-  /// fan-out through this instance so repeated check calls reuse one set of
-  /// threads.
+  /// shared batch runs inline. Sharded executors and the per-object checker
+  /// both drive their fan-out through this instance, so one set of threads
+  /// serves the whole process. A child process created by fork() inherits
+  /// the object but none of its threads; its first shared() call builds a
+  /// fresh, worker-less pool instead.
   static task_pool& shared();
 
  private:
-  // Submitted jobs point back at their batch so any worker can retire work
-  // from any batch; the batch outlives the queue entries because the
-  // submitting run_batch() call keeps it alive on its stack until all of its
-  // jobs report done.
-  struct batch {
-    std::mutex mu;
-    std::condition_variable done_cv;
-    std::size_t remaining = 0;
-  };
-  struct queued_job {
-    std::function<void()> fn;
-    batch* owner = nullptr;
-  };
+  struct batch;
 
   void worker_loop();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  // workers: work available / stop
-  std::deque<queued_job> queue_;
+  /// Batches with unclaimed jobs (front first). An entry leaves when its
+  /// last job is claimed, or when its submitter withdraws it.
+  std::deque<std::shared_ptr<batch>> queue_;
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

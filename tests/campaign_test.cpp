@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/api.hpp"
 #include "fuzz/fuzz.hpp"
+#include "util/task_pool.hpp"
 
 namespace {
 
@@ -92,6 +94,16 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
+/// Every bucket a campaign found, with its discovery iteration and seed.
+std::set<std::tuple<std::string, std::uint64_t, std::uint64_t>> discoveries(
+    const fuzz::campaign_result& r) {
+  std::set<std::tuple<std::string, std::uint64_t, std::uint64_t>> keys;
+  for (const fuzz::corpus_entry& e : r.stats.coverage.corpus) {
+    keys.insert({e.bucket, e.iteration, e.seed});
+  }
+  return keys;
+}
+
 // A forked 3-worker campaign over 90 iterations must merge to exactly the
 // serial campaign's coverage: same bucket union, same discovery provenance
 // (iteration + seed per bucket), same per-strategy totals, summed executed.
@@ -125,14 +137,7 @@ TEST(campaign, forked_coverage_merges_to_the_serial_campaign) {
   EXPECT_EQ(f.stats.coverage.executed, s.stats.coverage.executed);
 
   // Bucket union == serial bucket set, with identical discovery provenance.
-  auto key_set = [](const std::vector<fuzz::corpus_entry>& corpus) {
-    std::set<std::tuple<std::string, std::uint64_t, std::uint64_t>> keys;
-    for (const fuzz::corpus_entry& e : corpus) {
-      keys.insert({e.bucket, e.iteration, e.seed});
-    }
-    return keys;
-  };
-  EXPECT_EQ(key_set(f.stats.coverage.corpus), key_set(s.stats.coverage.corpus));
+  EXPECT_EQ(discoveries(f), discoveries(s));
   EXPECT_EQ(f.stats.coverage.distinct_buckets,
             s.stats.coverage.distinct_buckets);
 
@@ -165,6 +170,46 @@ TEST(campaign, forked_coverage_merges_to_the_serial_campaign) {
   EXPECT_NE(json.find("\"workers\""), std::string::npos);
   EXPECT_NE(json.find("\"distinct_buckets\""), std::string::npos);
   EXPECT_NE(json.find("\"worker\""), std::string::npos);
+}
+
+// Forked workers must not inherit the parent's busy process-wide pool: once
+// a sharded replay and a 4-lane check gave it workers, a fork leaves each
+// child the pool object but none of its threads. The campaign still has to
+// finish and merge to the serial run's coverage.
+TEST(campaign, forked_workers_start_with_a_fresh_shared_pool) {
+  auto ex = api::executor::builder()
+                .backend(api::exec_backend::sharded)
+                .shards(4)
+                .procs(2)
+                .pool_threads(4)
+                .build();
+  api::counter c0 = ex->add_counter();
+  api::counter c1 = ex->add_counter();
+  ex->script(0, {c0.add(1), c1.add(2)});
+  ex->script(1, {c1.add(3), c0.add(4)});
+  ex->run();
+  ASSERT_TRUE(ex->check().ok);
+
+  fuzz::campaign_config serial;
+  serial.iterations(60).seed(33).check_jobs(4).quiet(true);
+  fuzz::campaign_result s = fuzz::run_campaign(serial);
+  ASSERT_EQ(s.exit_code, 0);
+  ASSERT_GE(util::task_pool::shared().workers(), 4);
+
+  const fs::path dir = scratch_dir("fork_pool");
+  fuzz::campaign_config forked;
+  forked.iterations(60).seed(33).check_jobs(4).jobs(3).quiet(true);
+  forked.artifact_dir((dir / "arts").string());
+  fuzz::campaign_result f = fuzz::run_campaign(forked);
+  ASSERT_EQ(f.exit_code, 0);
+  ASSERT_TRUE(f.forked);
+  ASSERT_EQ(f.workers.size(), 3u);
+  for (const fuzz::worker_report& w : f.workers) {
+    EXPECT_FALSE(w.lost) << "worker " << w.worker;
+    EXPECT_EQ(w.executed, w.iterations) << "worker " << w.worker;
+  }
+  EXPECT_EQ(f.stats.coverage.executed, s.stats.coverage.executed);
+  EXPECT_EQ(discoveries(f), discoveries(s));
 }
 
 // The shared on-disk corpus: novel-bucket scenarios are dumped as parseable

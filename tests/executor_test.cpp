@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "api/api.hpp"
+#include "fuzz/fuzz.hpp"
 
 namespace detect {
 namespace {
@@ -760,27 +761,104 @@ TEST(pool_threads, validates_at_build_time) {
   EXPECT_THROW(api::make_executor(off_backend), std::invalid_argument);
 }
 
-TEST(pool_threads, pool_size_does_not_change_results) {
-  auto run_with = [](int pool) {
-    auto ex = api::executor::builder()
-                  .backend(exec_backend::sharded)
-                  .shards(2)
-                  .procs(2)
-                  .seed(9)
-                  .pool_threads(pool)
-                  .build();
-    api::counter c0 = ex->add_counter();
-    api::counter c1 = ex->add_counter();
-    ex->script(0, {c0.add(1), c1.add(10), c0.add(2)});
-    ex->script(1, {c1.add(20), c0.add(3)});
+/// `s` on the sharded backend with an explicit driver-pool size — the
+/// replay() recipe (two script rounds around the migration plan) with
+/// builder::pool_threads(pool) added.
+api::scripted_outcome replay_with_pool(const api::scripted_scenario& s,
+                                       int pool) {
+  api::executor::builder b;
+  b.backend(exec_backend::sharded)
+      .shards(s.shards)
+      .placement(s.placement)
+      .pool_threads(pool)
+      .procs(s.nprocs)
+      .fail_policy(s.policy)
+      .seed(s.sched_seed)
+      .schedule(s.sched)
+      .persist(s.persist)
+      .visibility(s.visibility);
+  if (!s.drain_steps.empty()) b.drain_at(s.drain_steps);
+  if (!s.crash_steps.empty()) b.crash_at(s.crash_steps);
+  if (s.shared_cache) b.shared_cache();
+  std::unique_ptr<api::executor> ex = b.build();
+  for (const api::scenario_object& o : s.objects) {
+    ex->add_as(o.id, o.kind, o.params);
+  }
+  for (const auto& [pid, ops] : s.scripts) ex->script(pid, ops);
+  const sim::run_report first = ex->run();
+  if (!s.migrations.empty() && !first.hit_step_limit) {
+    for (const auto& [id, shard] : s.migrations) ex->migrate(id, shard);
+    for (const auto& [pid, ops] : s.scripts) ex->script(pid, ops);
     ex->run();
-    std::string text;
-    for (const hist::event& e : ex->events()) text += e.to_string() + "\n";
-    return text;
-  };
-  // Worlds are deterministic in isolation, so inline vs parallel drivers
-  // must merge to the identical log.
-  EXPECT_EQ(run_with(1), run_with(2));
+  }
+  api::scripted_outcome out;
+  out.check = ex->check();
+  out.events = ex->events();
+  out.log_text = ex->log_text();
+  return out;
+}
+
+bool same_event(const hist::event& x, const hist::event& y) {
+  return x.kind == y.kind && x.pid == y.pid && x.desc.object == y.desc.object &&
+         x.desc.code == y.desc.code && x.desc.a == y.desc.a &&
+         x.desc.b == y.desc.b && x.desc.client_seq == y.desc.client_seq &&
+         x.value == y.value && x.verdict == y.verdict;
+}
+
+// 200 generated sharded scenarios — multi-object, crashy, migrating, with
+// tso/pso drains — replayed with driver pools of 1 (inline), 2 and 4 lanes
+// and with the auto size api::replay() uses. Worlds are deterministic in
+// isolation, so every pool size must merge to the identical log and check.
+TEST(pool_threads, pool_size_does_not_change_results) {
+  fuzz::gen_config cfg;
+  cfg.min_shards = 2;
+  cfg.max_shards = 4;
+  cfg.max_procs = 4;
+  cfg.max_ops = 6;
+  cfg.max_objects = 4;
+  cfg.object_kind_pool = {"reg", "cas", "counter", "queue", "stack"};
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  cfg.visibility_pool = {"sc", "tso", "pso"};
+  const std::vector<std::string> kinds = {"reg", "cas", "counter", "queue",
+                                          "stack", "swap", "max_reg"};
+  int crashy = 0, migrating = 0, draining = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    api::scripted_scenario s =
+        fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
+    s.backend = exec_backend::sharded;
+    // The generator plans migrations only for crash-free scenarios it put
+    // on the sharded backend itself; give every third scenario one.
+    if (seed % 3 == 0 && s.migrations.empty()) {
+      s.migrations.emplace_back(s.objects[seed % s.objects.size()].id,
+                                static_cast<int>(seed % s.shards));
+    }
+    crashy += !s.crash_steps.empty();
+    migrating += !s.migrations.empty();
+    draining += !s.drain_steps.empty();
+
+    const api::scripted_outcome automatic = api::replay(s);
+    for (int pool : {1, 2, 4}) {
+      const api::scripted_outcome sized = replay_with_pool(s, pool);
+      ASSERT_EQ(sized.log_text, automatic.log_text)
+          << "seed " << seed << " pool " << pool;
+      ASSERT_EQ(sized.events.size(), automatic.events.size());
+      for (std::size_t i = 0; i < sized.events.size(); ++i) {
+        ASSERT_TRUE(same_event(sized.events[i], automatic.events[i]))
+            << "seed " << seed << " pool " << pool << " event " << i;
+      }
+      ASSERT_EQ(sized.check.ok, automatic.check.ok) << "seed " << seed;
+      ASSERT_EQ(sized.check.inconclusive, automatic.check.inconclusive)
+          << "seed " << seed;
+      ASSERT_EQ(sized.check.message, automatic.check.message)
+          << "seed " << seed;
+      ASSERT_EQ(sized.check.nodes, automatic.check.nodes) << "seed " << seed;
+    }
+  }
+  // The corpus really exercised crashes, migrations and store-buffer drains.
+  EXPECT_GE(crashy, 100);
+  EXPECT_GE(migrating, 50);
+  EXPECT_GE(draining, 50);
 }
 
 // ---- persistent-cell footprint ----------------------------------------------
