@@ -39,6 +39,13 @@
 #   scripts/check.sh --bench-smoke   # the CI bench-smoke stage: every
 #                                    # E-binary with tiny parameters, plus
 #                                    # bench_serve at smoke size
+#   scripts/check.sh --bench-detect-smoke
+#                                    # the CI bench-detect stage: builds the
+#                                    # end-to-end benchmark (perf/, its own
+#                                    # CMake package) and runs its
+#                                    # bench_detect_smoke test, so a library
+#                                    # API change that breaks the benchmark
+#                                    # fails CI
 #   scripts/check.sh --serve-soak N  # the CI serve-soak stage: bench_serve
 #                                    # with N sessions x 2000 ops — the
 #                                    # invariant-enforcing serving soak
@@ -50,7 +57,8 @@
 #   DETECT_BUILD_TYPE   CMake build type for --quick/--fuzz/--bench-smoke
 #                       (default RelWithDebInfo; CI matrixes Debug/Sanitize)
 #   DETECT_BUILD_DIR    build directory (default build-$DETECT_BUILD_TYPE
-#                       for --quick, build otherwise)
+#                       for --quick, build otherwise; --bench-detect-smoke
+#                       builds perf/ into the same name plus -perf)
 #   DETECT_FUZZ_OUT     artifact directory for failing fuzz seeds
 #                       (default fuzz-artifacts)
 #   DETECT_COVERAGE_OUT coverage.json path for --fuzz-deep
@@ -224,6 +232,14 @@ case "${1:-}" in
     stage_build "$dir" "$build_type"
     stage_bench_smoke "$dir"
     ;;
+  --bench-detect-smoke)
+    dir="${DETECT_BUILD_DIR:-build-$build_type}-perf"
+    echo "== bench-detect-smoke: perf/bench_detect build + smoke test ($dir) =="
+    cmake -S perf -B "$dir" -DCMAKE_BUILD_TYPE="$build_type" \
+      ${configure_flags[@]+"${configure_flags[@]}"} >/dev/null
+    cmake --build "$dir" --target bench_detect -j "$jobs"
+    ctest --test-dir "$dir" --output-on-failure -R bench_detect_smoke
+    ;;
   --serve-soak)
     sessions="${2:-32}"
     dir="${DETECT_BUILD_DIR:-build-$build_type}"
@@ -244,7 +260,7 @@ case "${1:-}" in
     stage_ctest build-sanitize
     ;;
   *)
-    echo "usage: $0 [--fast | --quick | --fuzz N | --fuzz-sharded N | --fuzz-placement N | --fuzz-sched N | --fuzz-wmm N | --fuzz-deep N [--jobs J] | --bench-smoke | --serve-soak N]" >&2
+    echo "usage: $0 [--fast | --quick | --fuzz N | --fuzz-sharded N | --fuzz-placement N | --fuzz-sched N | --fuzz-wmm N | --fuzz-deep N [--jobs J] | --bench-smoke | --bench-detect-smoke | --serve-soak N]" >&2
     exit 2
     ;;
 esac

@@ -10,7 +10,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -34,9 +33,7 @@ exec_backend backend_from_name(const std::string& name) {
 }
 
 std::string executor::log_text() const {
-  std::ostringstream os;
-  for (const hist::event& e : events()) os << e.to_string() << '\n';
-  return os.str();
+  return hist::format_log(events());
 }
 
 std::unique_ptr<executor> executor::builder::build() const {

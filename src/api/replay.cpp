@@ -125,7 +125,7 @@ scripted_outcome replay(const scripted_scenario& s,
                       static_cast<std::uint64_t>(s.persist);
   out.check = ex->check(salted);
   out.events = ex->events();
-  out.log_text = ex->log_text();
+  out.log_text = hist::format_log(out.events);
   return out;
 }
 

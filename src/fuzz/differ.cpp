@@ -257,7 +257,11 @@ diff_report diff_placement_impl(const api::scripted_scenario& s,
   base.backend = api::exec_backend::sharded;
 
   const bool compare_responses = responses_comparable(s);
-  std::optional<api::scripted_outcome> first;
+  // `first` and `out` point at `cached` or at the fresh replay held in
+  // `first_fresh` / `fresh`, so the cached outcome is never copied.
+  std::optional<api::scripted_outcome> first_fresh;
+  std::optional<api::scripted_outcome> fresh;
+  const api::scripted_outcome* first = nullptr;
   std::string first_name;
   for (api::placement_kind kind :
        {api::placement_kind::modulo, api::placement_kind::hash,
@@ -265,21 +269,21 @@ diff_report diff_placement_impl(const api::scripted_scenario& s,
     api::scripted_scenario variant = base;
     variant.placement = {};
     variant.placement.kind = kind;
-    api::scripted_outcome out;
-    if (cached != nullptr && cached_kind == kind) {
-      out = *cached;
-    } else {
+    const api::scripted_outcome* out = cached;
+    if (cached == nullptr || cached_kind != kind) {
       if (replays != nullptr) ++*replays;
-      out = api::replay(variant, copt);
+      auto& slot = first == nullptr ? first_fresh : fresh;
+      slot = api::replay(variant, copt);
+      out = &*slot;
     }
     const std::string name =
         std::string("sharded/") + api::placement_name(kind);
-    if (!first.has_value()) {
-      first = std::move(out);
+    if (first == nullptr) {
+      first = out;
       first_name = name;
       continue;
     }
-    diff_report d = compare_replays(variant, *first, first_name, out, name,
+    diff_report d = compare_replays(variant, *first, first_name, *out, name,
                                     compare_responses);
     if (!d.ok) return d;
   }
@@ -369,7 +373,8 @@ std::string check_scenario(const api::scripted_scenario& s, bool diff,
   // crash-free base (needed whenever plain_*/stripped_* kinds are in play)
   // is replayed lazily at most once and reused across objects.
   std::optional<api::scripted_scenario> cf_base;
-  std::optional<api::scripted_outcome> cf_primary;
+  std::optional<api::scripted_outcome> cf_fresh;
+  const api::scripted_outcome* cf_primary = nullptr;
   for (std::size_t index = 0; index < s.objects.size(); ++index) {
     for (const std::string& variant_kind : variants_of(s.objects[index].kind)) {
       const bool as_is = crashes_comparable(s, index, variant_kind);
@@ -380,14 +385,15 @@ std::string check_scenario(const api::scripted_scenario& s, bool diff,
           cf_base = crash_free(s);
           if (s.crash_steps.empty() &&
               s.policy == core::runtime::fail_policy::skip) {
-            cf_primary = primary;  // already crash-free: reuse the replay
+            cf_primary = &primary;  // already crash-free: reuse the replay
           } else {
             count(1);
-            cf_primary = api::replay(*cf_base, copt);
+            cf_fresh = api::replay(*cf_base, copt);
+            cf_primary = &*cf_fresh;
           }
         }
         base = &*cf_base;
-        a = &*cf_primary;
+        a = cf_primary;
       }
       count(1);
       diff_report d = diff_object_against(*base, *a, index, variant_kind,

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <typeinfo>
@@ -224,10 +223,12 @@ check_result check_durable_linearizability(const std::vector<event>& events,
   res.inconclusive = lr.exhausted_budget;
   res.nodes = lr.nodes;
   if (!lr.linearizable) {
-    std::ostringstream os;
-    os << lr.error << "\nEvent log:\n";
-    for (const event& e : events) os << "  " << e.to_string() << '\n';
-    res.message = os.str();
+    res.message = lr.error + "\nEvent log:\n";
+    for (const event& e : events) {
+      res.message += "  ";
+      e.append_to(res.message);
+      res.message += '\n';
+    }
   }
   return res;
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace detect::hist {
 
@@ -57,6 +58,8 @@ struct op_desc {
   value_t b = 0;
   std::uint64_t client_seq = 0;
 
+  /// Appends the text `to_string()` returns, e.g. `cas(0,5)@obj1`.
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 
@@ -80,7 +83,15 @@ struct event {
   value_t value = k_bottom;
   recovery_verdict verdict = recovery_verdict::none;
 
+  /// Appends the text `to_string()` returns, e.g.
+  /// `p0 resp    cas(0,5)@obj1 -> 1`, with no trailing newline.
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
+
+/// The event log as text: each event's `to_string()` followed by '\n'.
+/// Every log printer (`log::to_string`, `executor::log_text`, `api::replay`)
+/// formats through this one function.
+std::string format_log(const std::vector<event>& events);
 
 }  // namespace detect::hist

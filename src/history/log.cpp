@@ -1,13 +1,7 @@
 #include "history/log.hpp"
 
-#include <sstream>
-
 namespace detect::hist {
 
-std::string log::to_string() const {
-  std::ostringstream os;
-  for (const event& e : snapshot()) os << e.to_string() << '\n';
-  return os.str();
-}
+std::string log::to_string() const { return format_log(snapshot()); }
 
 }  // namespace detect::hist

@@ -1,12 +1,20 @@
 #include "history/specs.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <concepts>
 #include <stdexcept>
 
 namespace detect::hist {
 
 namespace {
+/// Appends `v` in decimal, as `std::ostream << v` prints it.
+void append_int(std::string& out, std::integral auto v) {
+  char buf[24];  // INT64_MIN and UINT64_MAX both take 20 characters
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
 [[noreturn]] void bad_op(const char* spec_name, const op_desc& op) {
   throw std::invalid_argument(std::string(spec_name) +
                               ": unsupported operation " + op.to_string());
@@ -127,17 +135,21 @@ value_t stack_spec::apply(const op_desc& op) {
 }
 
 std::string stack_spec::serialize() const {
-  std::ostringstream os;
-  os << 's';
-  for (value_t v : items_) os << v << ',';
-  return os.str();
+  std::string out = "s";
+  for (value_t v : items_) {
+    append_int(out, v);
+    out += ',';
+  }
+  return out;
 }
 
 std::string queue_spec::serialize() const {
-  std::ostringstream os;
-  os << 'q';
-  for (value_t v : items_) os << v << ',';
-  return os.str();
+  std::string out = "q";
+  for (value_t v : items_) {
+    append_int(out, v);
+    out += ',';
+  }
+  return out;
 }
 
 value_t max_register_spec::apply(const op_desc& op) {
@@ -170,9 +182,14 @@ value_t multi_spec::apply(const op_desc& op) {
 }
 
 std::string multi_spec::serialize() const {
-  std::ostringstream os;
-  for (const auto& [id, s] : subs_) os << id << '=' << s->serialize() << ';';
-  return os.str();
+  std::string out;
+  for (const auto& [id, s] : subs_) {
+    append_int(out, id);
+    out += '=';
+    out += s->serialize();
+    out += ';';
+  }
+  return out;
 }
 
 std::unique_ptr<spec> make_spec_for(opcode family, value_t init) {
@@ -231,9 +248,9 @@ const char* opcode_name(opcode c) noexcept {
   return "?";
 }
 
-std::string op_desc::to_string() const {
-  std::ostringstream os;
-  os << opcode_name(code) << "(";
+void op_desc::append_to(std::string& out) const {
+  out += opcode_name(code);
+  out += '(';
   switch (code) {
     case opcode::reg_write:
     case opcode::swap:
@@ -243,40 +260,76 @@ std::string op_desc::to_string() const {
     case opcode::max_write:
     case opcode::lock_try:
     case opcode::lock_release:
-      os << a;
+      append_int(out, a);
       break;
     case opcode::cas:
-      os << a << "," << b;
+      append_int(out, a);
+      out += ',';
+      append_int(out, b);
       break;
     default:
       break;
   }
-  os << ")@obj" << object;
-  return os.str();
+  out += ")@obj";
+  append_int(out, object);
+}
+
+std::string op_desc::to_string() const {
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void event::append_to(std::string& out) const {
+  // Every kind but crash opens with the process and the operation.
+  const auto head = [&](const char* tag) {
+    out += 'p';
+    append_int(out, pid);
+    out += tag;
+    desc.append_to(out);
+  };
+  switch (kind) {
+    case event_kind::invoke:
+      head(" invoke  ");
+      out += " seq=";
+      append_int(out, desc.client_seq);
+      break;
+    case event_kind::response:
+      head(" resp    ");
+      out += " -> ";
+      append_int(out, value);
+      break;
+    case event_kind::crash:
+      out += "== CRASH ==";
+      break;
+    case event_kind::recover_begin:
+      head(" recover ");
+      break;
+    case event_kind::recover_result:
+      head(" verdict ");
+      out += " -> ";
+      if (verdict == recovery_verdict::fail) {
+        out += "FAIL";
+      } else {
+        append_int(out, value);
+      }
+      break;
+  }
 }
 
 std::string event::to_string() const {
-  std::ostringstream os;
-  switch (kind) {
-    case event_kind::invoke:
-      os << "p" << pid << " invoke  " << desc.to_string() << " seq=" << desc.client_seq;
-      break;
-    case event_kind::response:
-      os << "p" << pid << " resp    " << desc.to_string() << " -> " << value;
-      break;
-    case event_kind::crash:
-      os << "== CRASH ==";
-      break;
-    case event_kind::recover_begin:
-      os << "p" << pid << " recover " << desc.to_string();
-      break;
-    case event_kind::recover_result:
-      os << "p" << pid << " verdict " << desc.to_string() << " -> "
-         << (verdict == recovery_verdict::fail ? std::string("FAIL")
-                                               : std::to_string(value));
-      break;
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+std::string format_log(const std::vector<event>& events) {
+  std::string out;
+  for (const event& e : events) {
+    e.append_to(out);
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace detect::hist

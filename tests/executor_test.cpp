@@ -215,6 +215,31 @@ TEST(executor_sharded, single_object_run_is_identical_to_single_backend) {
   EXPECT_EQ(single->log_text(), sharded->log_text());
 }
 
+// log_text() is the shared formatter over events(): on the sharded backend
+// that is the merged log, crash and recovery events included.
+TEST(executor_backends, log_text_formats_the_event_log) {
+  for (exec_backend be : {exec_backend::single, exec_backend::sharded}) {
+    api::executor::builder b;
+    b.backend(be).procs(2).seed(3).fail_policy(
+        core::runtime::fail_policy::retry);
+    if (be == exec_backend::sharded) b.shards(2);
+    auto ex = b.crash_at({9, 23}).build();
+    api::reg r0 = ex->add_reg();
+    api::cas c1 = ex->add_cas();
+    ex->script(0, {r0.write(-1), c1.compare_and_set(0, 2), r0.read()});
+    ex->script(1, {c1.read(), r0.write(3), c1.compare_and_set(2, -5)});
+    ex->run();
+    const std::vector<hist::event> events = ex->events();
+    ASSERT_FALSE(events.empty()) << backend_name(be);
+    EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                            [](const hist::event& e) {
+                              return e.kind == hist::event_kind::crash;
+                            }))
+        << backend_name(be);
+    EXPECT_EQ(ex->log_text(), hist::format_log(events)) << backend_name(be);
+  }
+}
+
 // ---- threads backend --------------------------------------------------------
 
 TEST(executor_threads, real_thread_run_passes_the_per_object_check) {

@@ -1,5 +1,11 @@
 // Tests for sequential specs, the linearizability checker, and the
 // durable-linearizability/detectability record builder.
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "history/checker.hpp"
@@ -215,6 +221,106 @@ hist::event ev(hist::event_kind k, int pid, op_desc d,
   return e;
 }
 
+// ---- event text ---------------------------------------------------------------
+// Pinned byte for byte: the event log's text feeds failure messages, fuzz
+// artifacts and the golden replay hashes.
+
+TEST(event_text, every_event_kind) {
+  using hist::event_kind;
+  using hist::recovery_verdict;
+  const op_desc c{3, opcode::cas, 0, 5, 7};
+  EXPECT_EQ(ev(event_kind::invoke, 1, c).to_string(),
+            "p1 invoke  cas(0,5)@obj3 seq=7");
+  EXPECT_EQ(ev(event_kind::response, 1, c, k_true).to_string(),
+            "p1 resp    cas(0,5)@obj3 -> 1");
+  EXPECT_EQ(ev(event_kind::crash, -1, {}).to_string(), "== CRASH ==");
+  EXPECT_EQ(ev(event_kind::recover_begin, 2, c).to_string(),
+            "p2 recover cas(0,5)@obj3");
+  EXPECT_EQ(ev(event_kind::recover_result, 2, c, k_bottom,
+               recovery_verdict::fail)
+                .to_string(),
+            "p2 verdict cas(0,5)@obj3 -> FAIL");
+  EXPECT_EQ(ev(event_kind::recover_result, 2, c, k_false,
+               recovery_verdict::linearized)
+                .to_string(),
+            "p2 verdict cas(0,5)@obj3 -> 0");
+}
+
+TEST(event_text, every_opcode_and_argument_shape) {
+  const std::pair<opcode, const char*> cases[] = {
+      {opcode::nop, "nop()@obj2"},
+      {opcode::reg_read, "reg_read()@obj2"},
+      {opcode::reg_write, "reg_write(-4)@obj2"},
+      {opcode::swap, "swap(-4)@obj2"},
+      {opcode::cas, "cas(-4,9)@obj2"},
+      {opcode::cas_read, "cas_read()@obj2"},
+      {opcode::ctr_read, "ctr_read()@obj2"},
+      {opcode::ctr_add, "ctr_add(-4)@obj2"},
+      {opcode::tas_set, "tas_set()@obj2"},
+      {opcode::tas_reset, "tas_reset()@obj2"},
+      {opcode::enq, "enq(-4)@obj2"},
+      {opcode::deq, "deq()@obj2"},
+      {opcode::push, "push(-4)@obj2"},
+      {opcode::pop, "pop()@obj2"},
+      {opcode::max_write, "max_write(-4)@obj2"},
+      {opcode::max_read, "max_read()@obj2"},
+      {opcode::lock_try, "lock_try(-4)@obj2"},
+      {opcode::lock_release, "lock_release(-4)@obj2"},
+  };
+  for (const auto& [code, text] : cases) {
+    const op_desc d{2, code, -4, 9, 0};
+    EXPECT_EQ(d.to_string(), text);
+  }
+}
+
+TEST(event_text, extreme_values) {
+  using hist::event_kind;
+  constexpr std::uint64_t max_seq = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint32_t max_obj = std::numeric_limits<std::uint32_t>::max();
+  const op_desc cas_min{max_obj, opcode::cas, k_bottom, k_empty, max_seq};
+  EXPECT_EQ(cas_min.to_string(),
+            "cas(-9223372036854775808,-9223372036854775801)@obj4294967295");
+  EXPECT_EQ(ev(event_kind::invoke, 0, cas_min).to_string(),
+            "p0 invoke  cas(-9223372036854775808,-9223372036854775801)"
+            "@obj4294967295 seq=18446744073709551615");
+  EXPECT_EQ(ev(event_kind::response, 3, mk(opcode::pop), k_empty).to_string(),
+            "p3 resp    pop()@obj0 -> -9223372036854775801");
+  EXPECT_EQ(ev(event_kind::response, 3, mk(opcode::reg_read)).to_string(),
+            "p3 resp    reg_read()@obj0 -> -9223372036854775808");
+  EXPECT_EQ(ev(event_kind::response, 12, mk(opcode::swap, -42), -1)
+                .to_string(),
+            "p12 resp    swap(-42)@obj0 -> -1");
+  EXPECT_EQ(ev(event_kind::recover_result, 1, mk(opcode::ctr_add, -1),
+               std::numeric_limits<hist::value_t>::max(),
+               hist::recovery_verdict::linearized)
+                .to_string(),
+            "p1 verdict ctr_add(-1)@obj0 -> 9223372036854775807");
+}
+
+TEST(event_text, append_to_appends_and_format_log_joins_lines) {
+  using hist::event_kind;
+  const std::vector<hist::event> events{
+      ev(event_kind::invoke, 0, mk(opcode::push, 8)),
+      ev(event_kind::crash, -1, {}),
+      ev(event_kind::recover_begin, 0, mk(opcode::push, 8)),
+      ev(event_kind::recover_result, 0, mk(opcode::push, 8), k_bottom,
+         hist::recovery_verdict::fail),
+      ev(event_kind::invoke, 1, mk(opcode::pop)),
+      ev(event_kind::response, 1, mk(opcode::pop), k_empty),
+  };
+  std::string joined;
+  for (const hist::event& e : events) joined += e.to_string() + '\n';
+  EXPECT_EQ(hist::format_log(events), joined);
+  EXPECT_EQ(hist::format_log({}), "");
+
+  std::string out = "prefix:";
+  events[0].append_to(out);
+  EXPECT_EQ(out, "prefix:p0 invoke  push(8)@obj0 seq=0");
+  out = "[";
+  events[0].desc.append_to(out);
+  EXPECT_EQ(out, "[push(8)@obj0");
+}
+
 TEST(checker, normal_completion_builds_mandatory_record) {
   std::vector<hist::event> events{
       ev(hist::event_kind::invoke, 0, mk(opcode::reg_write, 1)),
@@ -340,6 +446,19 @@ TEST(checker, detects_false_linearized_claim) {
   };
   auto r = hist::check_durable_linearizability(events, hist::register_spec(0));
   EXPECT_FALSE(r.ok);
+  // The message ends with the event log, one indented line per event.
+  const std::string log_part =
+      "\nEvent log:\n"
+      "  p0 invoke  reg_write(1)@obj0 seq=0\n"
+      "  == CRASH ==\n"
+      "  p0 recover reg_write(1)@obj0\n"
+      "  p0 verdict reg_write(1)@obj0 -> 0\n"
+      "  p1 invoke  reg_read()@obj0 seq=0\n"
+      "  p1 resp    reg_read()@obj0 -> 0\n";
+  ASSERT_GT(r.message.size(), log_part.size());
+  EXPECT_EQ(r.message.substr(r.message.size() - log_part.size()), log_part);
+  EXPECT_EQ(r.message.find("\nEvent log:\n"),
+            r.message.size() - log_part.size());
 }
 
 TEST(checker, detects_false_fail_claim_when_effect_observed) {
