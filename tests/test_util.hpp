@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,6 +150,46 @@ inline hist::recovery_verdict last_verdict(const std::vector<hist::event>& event
     }
   }
   return verdict;
+}
+
+/// A counter whose read responses are off by one — the differential target:
+/// crash-free single-process replays against the real counter must diverge.
+struct lying_counter : core::detectable_object {
+  api::created_object inner;
+
+  explicit lying_counter(api::created_object in) : inner(std::move(in)) {}
+
+  hist::value_t invoke(int pid, const hist::op_desc& op) override {
+    hist::value_t v = inner.primary().invoke(pid, op);
+    return op.code == hist::opcode::ctr_read ? v + 1 : v;
+  }
+  core::recovery_result recover(int pid, const hist::op_desc& op) override {
+    return inner.primary().recover(pid, op);
+  }
+  bool wants_aux_reset() const override {
+    return inner.primary().wants_aux_reset();
+  }
+};
+
+/// Register lying_counter as the non-detectable counter-family kind
+/// "test_lying_counter" (idempotent).
+inline void register_lying_counter_once() {
+  auto& reg = api::object_registry::global();
+  if (reg.contains("test_lying_counter")) return;
+  api::kind_info info;
+  info.name = "test_lying_counter";
+  info.family = api::op_family::counter;
+  info.detectable = false;
+  info.make = [](const api::object_env& e, const api::object_params& p) {
+    api::created_object c;
+    c.owned.push_back(std::make_unique<lying_counter>(
+        api::object_registry::global().create("counter", e, p)));
+    return c;
+  };
+  info.make_spec = [](const api::object_params& p) {
+    return api::object_registry::global().make_spec("counter", p);
+  };
+  reg.add(std::move(info));
 }
 
 }  // namespace detect::test
