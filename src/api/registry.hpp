@@ -33,6 +33,8 @@ namespace detect::api {
 struct object_params {
   hist::value_t init = 0;
   std::size_t capacity = 64;
+
+  bool operator==(const object_params&) const = default;
 };
 
 /// What a factory gets to build from — deliberately world-free so the same

@@ -47,6 +47,8 @@ struct scenario_object {
   std::uint32_t id = 0;
   std::string kind;
   object_params params;
+
+  bool operator==(const scenario_object&) const = default;
 };
 
 /// A replayable run recipe: an ordered list of registry objects plus
@@ -113,6 +115,8 @@ struct scripted_scenario {
     for (const auto& [pid, ops] : scripts) n += ops.size();
     return n;
   }
+
+  bool operator==(const scripted_scenario&) const = default;
 };
 
 struct scripted_outcome {

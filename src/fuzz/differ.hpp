@@ -1,26 +1,35 @@
-// differ — differential replay of one generated scenario across
-// implementation variants of the same opcode family.
+// differ — differential replay of one generated scenario across its variant
+// family.
 //
-// The registry holds several implementations per family: the paper's core
-// algorithms ("reg", "cas", ...), the unbounded-identifier baselines
-// ("attiya_reg", "bendavid_cas"), the nrl adapter, and the non-detectable
-// plain_*/stripped_* variants. `diff_against` replays the identical
-// scenario with ONE declared object's kind substituted by a variant of the
-// same family (per-object substitution — the other objects stay put) and
-// diffs:
+// A scenario's variant family is every replay the oracle derives from it by
+// perturbing one dimension: the other shard layout (single vs sharded), the
+// three parameter-free placement policies (modulo, hash, range), and one
+// declared object's kind substituted by another implementation of the same
+// opcode family — the paper's core algorithms ("reg", "cas", ...), the
+// unbounded-identifier baselines ("attiya_reg", "bendavid_cas"), the nrl
+// adapter, and the non-detectable plain_*/stripped_* variants. One internal
+// driver replays a family: a single check memo serves all of its replays,
+// and a scenario that two stages both name is replayed once.
+//
+// Every comparison of two family members diffs:
 //
 //   * run health — neither replay may hit the step limit;
 //   * checker verdicts — both executions must be durably linearizable
 //     against the objects' sequential specs;
-//   * exact response streams — when the scenario is deterministically
-//     comparable (single process, crash-free), the per-process sequence of
-//     responses must match op for op.
+//   * exact response streams — only where both replays are deterministic
+//     and the same execution: a kind substitution compares them on
+//     single-process crash-free scenarios; a shard layout or placement
+//     change on single-object scenarios, except multi-process ones with
+//     migrations (the post-migration world's fresh announcement board
+//     shifts the seeded schedule). Multi-object scenarios genuinely split
+//     across shard worlds, so there the oracle is verdict equivalence, which
+//     exercises the merged-log and per-object decomposition paths.
 //
 // Crash semantics only compare where every object honors the detectability
 // contract: when the substituted variant or any declared object is
 // non-detectable (plain_*, stripped_* — the Theorem-2 regime where verdicts
-// can be wrong by construction), both replays are run crash-free (same
-// scenario minus the crash plan).
+// can be wrong by construction), both replays of a kind substitution run
+// crash-free (same scenario minus the crash plan).
 #pragma once
 
 #include <string>
@@ -41,8 +50,10 @@ struct diff_report {
 std::vector<std::string> variants_of(const std::string& kind);
 
 /// Replay `s` as declared and with object `object_id`'s kind substituted by
-/// `variant_kind`; diff as described above. Throws std::invalid_argument if
-/// `object_id` is undeclared or the kinds' families differ.
+/// `variant_kind` (the other objects stay put); diff as described above.
+/// `variant_kind` may be any registered kind of the family, including ones
+/// variants_of does not list. Throws std::invalid_argument if `object_id`
+/// is undeclared or the kinds' families differ.
 diff_report diff_against(const api::scripted_scenario& s,
                          std::uint32_t object_id,
                          const std::string& variant_kind);
@@ -51,50 +62,26 @@ diff_report diff_against(const api::scripted_scenario& s,
 diff_report diff_against(const api::scripted_scenario& s,
                          const std::string& variant_kind);
 
-/// Backend-equivalence diff: replay `s` on the single backend and again on
-/// the sharded backend with `shards` worlds, then diff run health, checker
-/// verdicts, and — for single-object scenarios, whose execution is the
-/// identical deterministic world on both sides — the exact response
-/// streams. Multi-object scenarios genuinely split across shard worlds, so
-/// their per-shard schedules legitimately interleave differently than the
-/// one-world run; there the oracle is verdict equivalence (both executions
-/// must check out), which is exactly what exercises the merged-log and
-/// per-object decomposition paths. A migration plan weakens multi-process
-/// scenarios to verdict equivalence too (the post-migration world's fresh
-/// announcement board shifts the seeded schedule); single-proc migration
-/// scenarios keep the exact-response oracle.
-diff_report diff_sharded(const api::scripted_scenario& s, int shards);
-
-/// Placement-equivalence diff: replay `s` on the sharded backend (with its
-/// own shard count) under each of the three parameter-free placement
-/// policies — modulo, hash, range — and require identical run health and
-/// checker verdicts, plus identical response streams for single-object
-/// scenarios (each object's world execution is deterministic regardless of
-/// which shard index hosts it; as with diff_sharded, multi-process
-/// migration scenarios compare verdicts only). Placement decides only
-/// *where* an object
-/// lives, never what its operations return — any divergence is a routing,
-/// merged-log, or migration bug. Trivially ok when `s.shards < 2`.
-diff_report diff_placement(const api::scripted_scenario& s);
-
-/// Non-differential oracle for a single replay of `s`: the run must finish
-/// within the step budget and pass the durable-linearizability +
-/// detectability check. Returns the failure description, empty on success.
-std::string verify_scenario(const api::scripted_scenario& s);
-
 /// Full per-scenario oracle the fuzzer, shrinker, and `fuzz_main --replay`
-/// share: verify_scenario, diff_against every variant of every declared
-/// object's kind, and — whenever `s.shards > 1` on the single or sharded
-/// backend — the single-vs-sharded equivalence diff. Empty on success.
-/// `replays`, when set, is bumped per scenario replay performed (campaign
-/// accounting). `diff` disables the variant pass (the sharded diff is
-/// governed by `s.shards` alone). `primary_out`, when set, receives the
-/// outcome of the scenario's own replay — the coverage layer's bucket food.
-/// `placement` additionally arms the diff_placement stage on every scenario
-/// with a shard knob (the `--placement-equiv` campaign mode). `check_jobs`
-/// is the per-object checker fan-out threaded (as hist::check_options) into
-/// every replay of the variant family — verdict-identical to serial by the
-/// parallel driver's determinism guarantee.
+/// share. Empty on success, else the first failure. Stages, in order:
+///
+///   1. primary — the scenario's own replay must finish within the step
+///      budget and pass the durable-linearizability + detectability check;
+///   2. sharded — whenever `s.shards > 1` on the single or sharded backend,
+///      the single vs sharded(`s.shards`) equivalence diff (part of the base
+///      oracle, so the shrinker preserves it);
+///   3. placement — when `placement` is set and `s.shards > 1`, the sharded
+///      replays under modulo vs hash vs range must agree (the
+///      `--placement-equiv` campaign mode);
+///   4. variants — when `diff` is set, every variants_of kind of every
+///      declared object, substituted one at a time.
+///
+/// `replays`, when set, is bumped per replay performed (campaign
+/// accounting). `primary_out`, when set, receives the outcome of the
+/// scenario's own replay — the coverage layer's bucket food. `check_jobs` is
+/// the per-object checker fan-out threaded (as hist::check_options) into
+/// every replay of the family — verdict-identical to serial by the parallel
+/// driver's determinism guarantee.
 std::string check_scenario(const api::scripted_scenario& s, bool diff = true,
                            std::uint64_t* replays = nullptr,
                            api::scripted_outcome* primary_out = nullptr,

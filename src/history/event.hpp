@@ -61,6 +61,8 @@ struct op_desc {
   /// Appends the text `to_string()` returns, e.g. `cas(0,5)@obj1`.
   void append_to(std::string& out) const;
   std::string to_string() const;
+
+  bool operator==(const op_desc&) const = default;
 };
 
 /// Outcome of a recovery function, per the detectability contract (§2):

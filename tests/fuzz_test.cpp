@@ -245,7 +245,7 @@ TEST(scenario_gen, mutate_is_deterministic_and_contract_preserving) {
         }
       }
     }
-    std::string failure = fuzz::verify_scenario(a);
+    std::string failure = fuzz::check_scenario(a, /*diff=*/false);
     EXPECT_TRUE(failure.empty()) << failure << "\n" << api::dump(a);
     if (::testing::Test::HasFailure()) return;
   }
@@ -259,7 +259,7 @@ TEST_P(generated_qualification, generated_scenarios_pass_the_oracle) {
   const std::string kind = GetParam();
   for (std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
     api::scripted_scenario s = fuzz::generate(seed, kind);
-    std::string failure = fuzz::verify_scenario(s);
+    std::string failure = fuzz::check_scenario(s, /*diff=*/false);
     EXPECT_TRUE(failure.empty())
         << kind << " seed " << seed << ":\n"
         << failure << "\n"
@@ -287,7 +287,7 @@ TEST(generated_qualification_multi, mixed_kind_scenarios_pass_the_oracle) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const std::string& kind = g_builtin_kinds[seed % g_builtin_kinds.size()];
     api::scripted_scenario s = fuzz::generate(seed, kind, cfg);
-    std::string failure = fuzz::verify_scenario(s);
+    std::string failure = fuzz::check_scenario(s, /*diff=*/false);
     ASSERT_TRUE(failure.empty())
         << kind << " seed " << seed << ":\n"
         << failure << "\n"
@@ -297,11 +297,10 @@ TEST(generated_qualification_multi, mixed_kind_scenarios_pass_the_oracle) {
 
 // ---- differ -----------------------------------------------------------------
 
-// The ISSUE-3 acceptance bar: for >= 1000 generated seeds, single and
-// sharded replays of the same scenario produce identical checker verdicts
-// (and, single-object, identical response streams), verified via
-// fuzz::diff_sharded. Kinds rotate over every opcode family with a
-// detectable core implementation.
+// For >= 1000 generated seeds, single and sharded replays of the same
+// scenario produce identical checker verdicts (and, single-object, identical
+// response streams), verified by check_scenario's sharded stage. Kinds
+// rotate over every opcode family with a detectable core implementation.
 TEST(differ, sharded_equivalence_holds_for_1000_seeds) {
   const std::vector<std::string> kinds = {"reg",   "cas",   "counter",
                                           "swap",  "tas",   "queue",
@@ -317,10 +316,10 @@ TEST(differ, sharded_equivalence_holds_for_1000_seeds) {
         fuzz::iteration_seed(0x54a2d, static_cast<std::uint64_t>(i));
     const std::string& kind = kinds[static_cast<std::size_t>(i) % kinds.size()];
     api::scripted_scenario s = fuzz::generate(seed, kind, cfg);
-    fuzz::diff_report d = fuzz::diff_sharded(s, s.shards);
-    ASSERT_TRUE(d.ok) << "seed " << seed << ":\n"
-                      << d.message << "\n"
-                      << api::dump(s);
+    std::string failure = fuzz::check_scenario(s, /*diff=*/false);
+    ASSERT_TRUE(failure.empty()) << "seed " << seed << ":\n"
+                                 << failure << "\n"
+                                 << api::dump(s);
   }
 }
 
@@ -341,10 +340,10 @@ TEST(differ, sharded_equivalence_holds_on_multi_object_scenarios) {
         fuzz::iteration_seed(0xbeefcafe, static_cast<std::uint64_t>(i));
     api::scripted_scenario s = fuzz::generate(
         seed, cfg.object_kind_pool[static_cast<std::size_t>(i) % 5], cfg);
-    fuzz::diff_report d = fuzz::diff_sharded(s, s.shards);
-    ASSERT_TRUE(d.ok) << "seed " << seed << ":\n"
-                      << d.message << "\n"
-                      << api::dump(s);
+    std::string failure = fuzz::check_scenario(s, /*diff=*/false);
+    ASSERT_TRUE(failure.empty()) << "seed " << seed << ":\n"
+                                 << failure << "\n"
+                                 << api::dump(s);
   }
 }
 
@@ -385,8 +384,8 @@ TEST(differ, sharded_equivalence_survives_empty_scripts) {
                   {0, hist::opcode::reg_read, 0, 0, 0}};
   s.scripts[1] = {};  // emptied by a shrink step
   s.scripts[2] = {{0, hist::opcode::reg_read, 0, 0, 0}};
-  fuzz::diff_report d = fuzz::diff_sharded(s, s.shards);
-  EXPECT_TRUE(d.ok) << d.message;
+  std::string failure = fuzz::check_scenario(s, /*diff=*/false);
+  EXPECT_TRUE(failure.empty()) << failure;
 }
 
 TEST(differ, core_kinds_agree_with_their_variants) {
@@ -1337,10 +1336,10 @@ TEST(scenario_gen, migrations_only_on_crash_free_sharded_scenarios) {
   EXPECT_TRUE(saw_migration) << "the knob never drew a migration in 200 seeds";
 }
 
-// The ISSUE-5 acceptance bar: for >= 1000 generated seeds, replays under
-// modulo vs hash vs range placement produce identical checker verdicts (and
-// identical response streams for single-object scenarios) — placement is
-// semantics-invariant.
+// For >= 1000 generated seeds, replays under modulo vs hash vs range
+// placement produce identical checker verdicts (and identical response
+// streams for single-object scenarios), verified by check_scenario's
+// placement stage — placement is semantics-invariant.
 TEST(differ, placement_equivalence_holds_for_1000_seeds) {
   const std::vector<std::string> kinds = {"reg",   "cas",   "counter",
                                           "swap",  "tas",   "queue",
@@ -1356,17 +1355,20 @@ TEST(differ, placement_equivalence_holds_for_1000_seeds) {
         fuzz::iteration_seed(0x91aceULL, static_cast<std::uint64_t>(i));
     const std::string& kind = kinds[static_cast<std::size_t>(i) % kinds.size()];
     api::scripted_scenario s = fuzz::generate(seed, kind, cfg);
-    fuzz::diff_report d = fuzz::diff_placement(s);
-    ASSERT_TRUE(d.ok) << "seed " << seed << ":\n"
-                      << d.message << "\n"
-                      << api::dump(s);
+    std::string failure = fuzz::check_scenario(s, /*diff=*/false, nullptr,
+                                               nullptr, /*placement=*/true);
+    ASSERT_TRUE(failure.empty()) << "seed " << seed << ":\n"
+                                 << failure << "\n"
+                                 << api::dump(s);
   }
 }
 
 TEST(differ, placement_diff_is_trivially_ok_without_a_shard_knob) {
   api::scripted_scenario s = fuzz::generate(9, "reg");
   s.shards = 1;
-  EXPECT_TRUE(fuzz::diff_placement(s).ok);
+  EXPECT_EQ(fuzz::check_scenario(s, /*diff=*/false, nullptr, nullptr,
+                                 /*placement=*/true),
+            "");
 }
 
 TEST(run_fuzz, placement_equiv_campaign_is_clean) {
