@@ -83,14 +83,17 @@ std::size_t index_of_object(const api::scripted_scenario& s,
 
 /// When are two same-scenario replays on different shard layouts comparable
 /// response for response? Single-object scenarios are (the object's world
-/// is deterministic wherever it lives) — except that a migration plan with
-/// several processes re-runs the scripts on a world whose announcement
-/// board is fresh, so the per-process recovery scans take different step
-/// counts than the continuing world's and the seeded scheduler's picks
-/// realign; single-proc runs are scheduling-independent, so they stay
-/// exactly comparable even across migrations.
+/// is deterministic wherever it lives) — except across a migration plan,
+/// whose second script round runs on a world with a different history than
+/// the one-world run's (which skips the migration). Crash steps are keyed
+/// on each shard's own step counter, so a migrated object meets a different
+/// crash schedule; and with several processes the fresh announcement board
+/// changes the recovery scans' step counts, so the seeded scheduler's picks
+/// realign. A single-proc crash-free run is neither scheduling- nor
+/// crash-dependent, so it stays exactly comparable even across migrations.
 bool responses_comparable(const api::scripted_scenario& s) {
-  return s.objects.size() == 1 && (s.migrations.empty() || s.nprocs == 1);
+  return s.objects.size() == 1 &&
+         (s.migrations.empty() || (s.nprocs == 1 && s.crash_steps.empty()));
 }
 
 /// The driver behind every differential check: one scenario's variant

@@ -19,11 +19,13 @@
 //   * exact response streams — only where both replays are deterministic
 //     and the same execution: a kind substitution compares them on
 //     single-process crash-free scenarios; a shard layout or placement
-//     change on single-object scenarios, except multi-process ones with
-//     migrations (the post-migration world's fresh announcement board
-//     shifts the seeded schedule). Multi-object scenarios genuinely split
-//     across shard worlds, so there the oracle is verdict equivalence, which
-//     exercises the merged-log and per-object decomposition paths.
+//     change on single-object scenarios without migrations, or with
+//     migrations but one process and no crash plan (the post-migration
+//     round meets shard-local crash steps and, with several processes, a
+//     fresh announcement board that shifts the seeded schedule).
+//     Multi-object scenarios genuinely split across shard worlds, so there
+//     the oracle is verdict equivalence, which exercises the merged-log and
+//     per-object decomposition paths.
 //
 // Crash semantics only compare where every object honors the detectability
 // contract: when the substituted variant or any declared object is

@@ -175,9 +175,10 @@ TEST(differ_pin, stage_failure_messages) {
   EXPECT_EQ(h, 4981213086891022992ULL);
 }
 
-// One process, a migration and a crash plan on a detectable counter: under
-// modulo placement the single and sharded replays differ (sharded stage),
-// under hash placement the placement variants do (placement stage).
+// One process, a migration and a crash plan on a detectable counter: the
+// single and sharded replays (modulo placement) and the placement variants
+// (hash placement) meet different crash schedules, so only their verdicts
+// compare.
 TEST(differ_pin, crash_plan_with_migration) {
   api::scripted_scenario s = api::parse_scenario(
       "object 0 counter 0 64\n"
@@ -193,7 +194,44 @@ TEST(differ_pin, crash_plan_with_migration) {
   std::uint64_t h = hash_every_setting(k_fnv_basis, s);
   s.placement.kind = api::placement_kind::hash;
   h = hash_every_setting(h, s);
-  EXPECT_EQ(h, 5500072207569262154ULL);
+  EXPECT_EQ(h, 1079114523090335189ULL);
+}
+
+// ---- crash plans across migrations ------------------------------------------
+
+// Crash steps are keyed on each shard's own step counter, so after a
+// migration the sharded replay's second round meets a different crash
+// schedule than the single replay, which skips the migration: the response
+// streams legitimately differ, and only the verdicts compare.
+TEST(differ, crash_plans_with_migrations_compare_verdicts_only) {
+  const std::vector<std::string> kinds = {"reg",  "cas",   "counter", "swap",
+                                          "tas",  "queue", "stack"};
+  fuzz::gen_config cfg;
+  cfg.max_procs = 1;
+  cfg.max_shards = 1;
+  for (std::uint64_t seed = 1; seed <= 70; ++seed) {
+    api::scripted_scenario s =
+        fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
+    s.backend = api::exec_backend::sharded;
+    s.shards = 2;
+    s.migrations = {{s.primary().id, 1}};
+    s.crash_steps = {1 + seed % 7, 12 + seed % 11};
+    for (api::placement_kind kind :
+         {api::placement_kind::modulo, api::placement_kind::hash}) {
+      s.placement.kind = kind;
+      const std::string failure = fuzz::check_scenario(
+          s, /*diff=*/false, nullptr, nullptr, /*placement=*/true);
+      EXPECT_EQ(failure, "") << api::dump(s);
+    }
+  }
+
+  // The verdicts still compare: the single replay of this plain counter is
+  // rejected while its sharded primary passes.
+  const std::string failure = fuzz::check_scenario(
+      api::parse_scenario(k_plain_counter_migration), /*diff=*/false);
+  EXPECT_NE(failure.find("differ: single failed the checker"),
+            std::string::npos)
+      << failure;
 }
 
 }  // namespace
