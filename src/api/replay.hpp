@@ -83,12 +83,14 @@ struct scripted_scenario {
   /// executor redesign carry neither field and parse as single/1.
   exec_backend backend = exec_backend::single;
   /// Shard count: the sharded backend's world count when backend == sharded,
-  /// and the shard count fuzz::diff_sharded replays the scenario under for
-  /// the single-vs-sharded equivalence diff otherwise (1 = no sharded diff).
+  /// and the shard count fuzz::check_scenario's sharded stage replays the
+  /// scenario under for the single-vs-sharded equivalence diff otherwise
+  /// (1 = no sharded diff).
   int shards = 1;
   /// Shard-placement policy (see api/placement.hpp). Semantics-invariant by
-  /// design: fuzz::diff_placement replays scenarios under several policies
-  /// and requires identical verdicts. v3 and older dumps parse as modulo.
+  /// design: fuzz::check_scenario's placement stage replays scenarios under
+  /// several policies and requires identical verdicts. v3 and older dumps
+  /// parse as modulo.
   placement_policy placement;
   /// Migration plan, applied between the two script rounds on the sharded
   /// backend (skipped, as the semantic no-op it is, on one-world backends so

@@ -233,7 +233,7 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
     s.shared_cache = true;
   }
   // Shard-count knob: with backend == single it arms the single-vs-sharded
-  // equivalence diff (diff_sharded replays the scenario on both backends);
+  // equivalence diff (check_scenario replays the scenario on both backends);
   // a quarter of the sharded draws additionally run on the sharded backend
   // directly, exercising the cross-shard routing and merged-log paths as the
   // scenario's own execution.

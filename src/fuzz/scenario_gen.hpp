@@ -54,8 +54,9 @@ struct gen_config {
   /// Sharded-equivalence knob: scenarios draw `shards` from
   /// [min_shards, max_shards] out of the same xorshift stream (when
   /// min_shards == 1 a coin first keeps about half of them unsharded);
-  /// fuzz::diff_sharded then replays single vs sharded for every scenario
-  /// with shards > 1. max_shards <= 1 disables the knob entirely.
+  /// fuzz::check_scenario's sharded stage then replays single vs sharded for
+  /// every scenario with shards > 1. max_shards <= 1 disables the knob
+  /// entirely.
   int min_shards = 1;
   int max_shards = 4;
   /// Multi-object knob: scenarios declare between min_objects and
