@@ -128,11 +128,11 @@ class variant_family {
 
   /// Single vs sharded(`s.shards`) equivalence.
   diff_report sharded(const api::scripted_scenario& s) {
-    api::scripted_scenario single = s;
-    single.backend = api::exec_backend::single;
-    api::scripted_scenario sharded = s;
-    sharded.backend = api::exec_backend::sharded;
-    return compare(single, "single", sharded,
+    api::scripted_scenario one_world = s;
+    one_world.backend = api::exec_backend::single;
+    api::scripted_scenario split = s;
+    split.backend = api::exec_backend::sharded;
+    return compare(one_world, "single", split,
                    "sharded(" + std::to_string(s.shards) + ")",
                    responses_comparable(s));
   }
