@@ -31,7 +31,8 @@
 //                                      # summaries (default fuzz-artifacts
 //                                      # under --jobs)
 //   fuzz_main --replay failure.txt     # re-run a dumped scenario and print
-//                                      # its coverage bucket signature
+//                                      # its coverage bucket signature and
+//                                      # the primary check's node count
 //   fuzz_main --list-kinds             # print the registry kind pool
 //   fuzz_main --list-models            # print every model axis's values
 //                                      # with one-line descriptions
@@ -107,6 +108,10 @@ int replay_file(const std::string& path, int check_jobs) {
   // The bucket signature matches the failure artifact to its coverage.json
   // bucket by hand (outcome bits reflect the replay just performed).
   std::printf("bucket: %s\n", fuzz::bucket_of(s, outcome).key().c_str());
+  // The primary check's search size: any change to the linearizer's search
+  // order or memoization shows here first.
+  std::printf("checker: nodes=%zu, objects=%zu\n", outcome.check.nodes,
+              outcome.check.objects);
   if (failure.empty()) {
     std::printf("PASS: scenario is clean\n");
     return 0;

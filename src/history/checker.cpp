@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <thread>
 #include <typeinfo>
@@ -77,32 +76,63 @@ void lin_memo::store(const key& k, const check_result& r) {
   ++misses_;
 }
 
+namespace {
+
+/// build_records' bookkeeping for one process.
+struct proc_records {
+  int pid = -1;
+  /// Index into the records of the process's open operation (processes are
+  /// sequential: at most one at a time), k_npos when none is open.
+  std::size_t open = k_npos;
+  /// (client_seq, index of the FIRST recover_begin for that op). A crash can
+  /// strike inside the announcement window before the invoke event is
+  /// logged; a re-invoking recovery (e.g. the nrl adapter) then executes the
+  /// op — possibly in an early recovery attempt that is itself crashed
+  /// before it can report, with only a later re-attempt logging the verdict.
+  /// The synthesized interval must therefore start at the first attempt, not
+  /// the last: anchoring at the last recover_begin fabricates a real-time
+  /// edge against ops that completed in between and falsely fails histories
+  /// (found by the differential fuzzer on nrl_reg).
+  std::vector<std::pair<std::uint64_t, std::size_t>> first_begin;
+  /// Last client_seq whose record closed: a crash between an op's response
+  /// and the client's durable program-counter update makes recovery
+  /// re-report "linearized" for an op the log already closed; such
+  /// duplicate completion reports must not spawn a second record.
+  bool has_closed = false;
+  std::uint64_t last_closed = 0;
+
+  void close(const op_record& r) {
+    has_closed = true;
+    last_closed = r.desc.client_seq;
+  }
+  auto begin_of(std::uint64_t seq) {
+    return std::find_if(first_begin.begin(), first_begin.end(),
+                        [&](const auto& b) { return b.first == seq; });
+  }
+};
+
+}  // namespace
+
 std::vector<op_record> build_records(const std::vector<event>& events,
                                      bool* synthesized_interval) {
   std::vector<op_record> out;
-  // One open operation per process at a time (processes are sequential).
-  std::map<int, std::size_t> open;  // pid -> index into `out`
-  // (pid, client_seq) -> index of the FIRST recover_begin for that op. A
-  // crash can strike inside the announcement window before the invoke event
-  // is logged; a re-invoking recovery (e.g. the nrl adapter) then executes
-  // the op — possibly in an early recovery attempt that is itself crashed
-  // before it can report, with only a later re-attempt logging the verdict.
-  // The synthesized interval must therefore start at the first attempt, not
-  // the last: anchoring at the last recover_begin fabricates a real-time
-  // edge against ops that completed in between and falsely fails histories
-  // (found by the differential fuzzer on nrl_reg).
-  std::map<std::pair<int, std::uint64_t>, std::size_t> first_begin;
-  // Last client_seq whose record closed, per pid: a crash between an op's
-  // response and the client's durable program-counter update makes recovery
-  // re-report "linearized" for an op the log already closed; such duplicate
-  // completion reports must not spawn a second record.
-  std::map<int, std::uint64_t> last_closed;
+  // One slot per process, in order of first appearance; a history has few
+  // processes, so a linear find is cheaper than a map.
+  std::vector<proc_records> procs;
+  const auto proc_of = [&](int pid) -> proc_records& {
+    for (proc_records& p : procs) {
+      if (p.pid == pid) return p;
+    }
+    return procs.emplace_back(proc_records{.pid = pid});
+  };
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const event& e = events[i];
+    if (e.kind == event_kind::crash) continue;  // intervals simply continue
+    proc_records& p = proc_of(e.pid);
     switch (e.kind) {
       case event_kind::invoke: {
-        if (open.count(e.pid) != 0) {
+        if (p.open != k_npos) {
           throw std::logic_error("process p" + std::to_string(e.pid) +
                                  " invoked an op while one is open");
         }
@@ -110,37 +140,39 @@ std::vector<op_record> build_records(const std::vector<event>& events,
         r.pid = e.pid;
         r.desc = e.desc;
         r.invoke_index = i;
-        open[e.pid] = out.size();
+        p.open = out.size();
         out.push_back(r);
         break;
       }
       case event_kind::response: {
-        auto it = open.find(e.pid);
-        if (it == open.end()) {
+        if (p.open == k_npos) {
           throw std::logic_error("response without open op on p" +
                                  std::to_string(e.pid));
         }
-        op_record& r = out[it->second];
+        op_record& r = out[p.open];
         r.response_index = i;
         r.response = e.value;
         r.has_response = true;
-        last_closed[e.pid] = r.desc.client_seq;
-        open.erase(it);
+        p.close(r);
+        p.open = k_npos;
         break;
       }
       case event_kind::crash:
-        break;  // intervals simply continue
+        break;
       case event_kind::recover_begin:
-        first_begin.emplace(std::make_pair(e.pid, e.desc.client_seq), i);
+        if (p.begin_of(e.desc.client_seq) == p.first_begin.end()) {
+          p.first_begin.emplace_back(e.desc.client_seq, i);
+        }
         break;
       case event_kind::recover_result: {
         // This recovery round concluded; a later round for the same seq (a
         // retry after `fail`) starts fresh, so its interval must anchor at
         // its own first recover_begin, not this round's.
-        const std::pair<int, std::uint64_t> round_key{e.pid,
-                                                      e.desc.client_seq};
-        auto it = open.find(e.pid);
-        if (it == open.end()) {
+        const auto round = p.begin_of(e.desc.client_seq);
+        const bool has_begin = round != p.first_begin.end();
+        const std::size_t begin_index = has_begin ? round->second : 0;
+        if (has_begin) p.first_begin.erase(round);
+        if (p.open == k_npos) {
           // No open op. A `fail` verdict imposes nothing (the operation
           // never took a step). A `linearized` verdict for an op whose
           // record already closed is a duplicate completion report (crash
@@ -148,63 +180,52 @@ std::vector<op_record> build_records(const std::vector<event>& events,
           // Otherwise the crash struck inside the announcement window before
           // the invoke event was logged and a re-invoking recovery executed
           // the op now: synthesize a record spanning [recover_begin, here].
-          auto lc = last_closed.find(e.pid);
-          if (lc != last_closed.end() && lc->second == e.desc.client_seq) {
-            first_begin.erase(round_key);
-            break;
-          }
+          if (p.has_closed && p.last_closed == e.desc.client_seq) break;
           if (e.verdict == recovery_verdict::linearized) {
-            auto b = first_begin.find(round_key);
-            if (b == first_begin.end()) {
+            if (!has_begin) {
               throw std::logic_error(
                   "linearized verdict with no open op and no recover_begin");
             }
             op_record r;
             r.pid = e.pid;
             r.desc = e.desc;
-            r.invoke_index = b->second;
+            r.invoke_index = begin_index;
             r.response_index = i;
             r.response = e.value;
             r.has_response = true;
-            last_closed[e.pid] = r.desc.client_seq;
+            p.close(r);
             out.push_back(r);
             if (synthesized_interval != nullptr) *synthesized_interval = true;
           }
-          first_begin.erase(round_key);
           break;
         }
-        op_record& r = out[it->second];
+        op_record& r = out[p.open];
         if (e.verdict == recovery_verdict::linearized) {
           r.response_index = i;
           r.response = e.value;
           r.has_response = true;
-          last_closed[e.pid] = r.desc.client_seq;
-          open.erase(it);
+          p.close(r);
         } else {
           // fail ⇒ asserted not linearized ⇒ excluded from the candidate
           // history. Mark for removal below; a later re-attempt shows up as
           // a fresh invoke event.
           r.pid = -2;
-          open.erase(it);
         }
-        first_begin.erase(round_key);
+        p.open = k_npos;
         break;
       }
     }
   }
   // Ops never resolved (pending at end of run / unrecovered crash) may be
   // dropped by the linearization.
-  for (auto& [pid, idx] : open) {
-    out[idx].optional = true;
-    out[idx].has_response = false;
-    out[idx].response_index = k_npos;
+  for (const proc_records& p : procs) {
+    if (p.open == k_npos) continue;
+    out[p.open].optional = true;
+    out[p.open].has_response = false;
+    out[p.open].response_index = k_npos;
   }
-  std::vector<op_record> filtered;
-  filtered.reserve(out.size());
-  for (auto& r : out) {
-    if (r.pid != -2) filtered.push_back(r);
-  }
-  return filtered;
+  std::erase_if(out, [](const op_record& r) { return r.pid == -2; });
+  return out;
 }
 
 check_result check_durable_linearizability(const std::vector<event>& events,

@@ -6,6 +6,8 @@
 // and detectability.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -46,6 +48,15 @@ enum class opcode : std::uint8_t {
 };
 
 const char* opcode_name(opcode c) noexcept;
+
+/// Appends `v` in decimal, as `std::ostream << v` prints it. Every text the
+/// history layer builds (event lines, spec states, checker messages) formats
+/// its numbers through this.
+inline void append_int(std::string& out, std::integral auto v) {
+  char buf[24];  // INT64_MIN and UINT64_MAX both take 20 characters
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
 
 /// Abstract operation descriptor: which object, which operation, with which
 /// arguments. `client_seq` is the calling client's private program counter

@@ -1,53 +1,212 @@
 #include "history/linearizer.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <unordered_set>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string_view>
 
 namespace detect::hist {
 
+void op_record::append_to(std::string& out) const {
+  out += 'p';
+  append_int(out, pid);
+  out += ':';
+  desc.append_to(out);
+  out += " [";
+  append_int(out, invoke_index);
+  out += ',';
+  if (response_index == k_npos) {
+    out += "open";
+  } else {
+    append_int(out, response_index);
+  }
+  out += ']';
+  if (has_response) {
+    out += " -> ";
+    append_int(out, response);
+  }
+  if (optional) out += " (optional)";
+}
+
 std::string op_record::to_string() const {
-  std::ostringstream os;
-  os << "p" << pid << ":" << desc.to_string() << " [" << invoke_index << ","
-     << (response_index == k_npos ? std::string("open")
-                                  : std::to_string(response_index))
-     << "]";
-  if (has_response) os << " -> " << response;
-  if (optional) os << " (optional)";
-  return os.str();
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 namespace {
 
+// Three exact tables key the search's memo. Each is open addressing with
+// linear probing over a power-of-two slot array kept at most half full, and
+// each grows geometrically, so a lookup allocates only when a table grows.
+
+std::size_t mix(std::uint64_t x) {  // the splitmix64 finalizer
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return static_cast<std::size_t>(x ^ (x >> 31));
+}
+
+/// Slots of dense ids 0, 1, 2, ... filed by their keys' hashes; the keys
+/// themselves live with the caller, which compares them (`same`) and
+/// rehashes them (`hash_of`).
+class id_index {
+ public:
+  /// The id whose key `same` accepts, or `count` (the caller's next id)
+  /// filed as new; the flag tells which.
+  template <class Same, class HashOf>
+  std::pair<std::uint32_t, bool> find_or_add(std::size_t hash,
+                                             std::uint32_t count, Same same,
+                                             HashOf hash_of) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      if (same(slots_[i] - 1)) return {slots_[i] - 1, false};
+    }
+    if (2 * (std::size_t{count} + 1) <= slots_.size()) {
+      slots_[i] = count + 1;
+    } else {
+      slots_.assign(2 * slots_.size(), 0);
+      for (std::uint32_t id = 0; id < count; ++id) file(hash_of(id), id);
+      file(hash, count);
+    }
+    return {count, true};
+  }
+
+ private:
+  void file(std::size_t hash, std::uint32_t id) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = id + 1;
+  }
+
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16);  // id+1
+};
+
+/// Exact map from done masks to dense ids. Real-time order leaves few done
+/// sets reachable (processes run their ops in sequence), so this table is
+/// small even when the search is large.
+class mask_interner {
+ public:
+  std::uint32_t intern(std::uint64_t done) {
+    const auto count = static_cast<std::uint32_t>(masks_.size());
+    const auto [id, fresh] = index_.find_or_add(
+        mix(done), count, [&](std::uint32_t i) { return masks_[i] == done; },
+        [&](std::uint32_t i) { return mix(masks_[i]); });
+    if (fresh) masks_.push_back(done);
+    return id;
+  }
+
+ private:
+  std::vector<std::uint64_t> masks_;  // by id
+  id_index index_;
+};
+
+/// Exact map from serialize() text to dense ids. Every distinct state's text
+/// lives once in one arena and is compared byte for byte on lookup, so two
+/// states share an id only when their encodings are equal; the hash merely
+/// finds the candidates.
+class state_interner {
+ public:
+  std::uint32_t intern(const spec& state) {
+    const std::size_t begin = arena_.size();
+    state.serialize_to(arena_);  // tentatively the next id's text
+    const std::string_view text(arena_.data() + begin, arena_.size() - begin);
+    const auto count = static_cast<std::uint32_t>(ends_.size());
+    const auto [id, fresh] = index_.find_or_add(
+        hash(text), count, [&](std::uint32_t i) { return text_of(i) == text; },
+        [&](std::uint32_t i) { return hash(text_of(i)); });
+    if (fresh) {
+      ends_.push_back(arena_.size());
+    } else {
+      arena_.resize(begin);
+    }
+    return id;
+  }
+
+ private:
+  static std::size_t hash(std::string_view text) {
+    return std::hash<std::string_view>{}(text);
+  }
+  std::string_view text_of(std::uint32_t id) const {
+    const std::size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return {arena_.data() + begin, ends_[id] - begin};
+  }
+
+  std::string arena_;              // every interned text, back to back
+  std::vector<std::size_t> ends_;  // end of id's text in arena_
+  id_index index_;
+};
+
+/// The (done set, state) pairs the search has expanded, as (done id, state
+/// id) packed into one word. Two keys are equal exactly when their done
+/// masks and serialized states are.
+class visited_set {
+ public:
+  /// Adds the pair; false when it was already present.
+  bool insert(std::uint32_t done_id, std::uint32_t state_id) {
+    const std::uint64_t key = std::uint64_t{done_id} << 32 | state_id;
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<std::uint64_t> old(2 * slots_.size(), k_free);
+      old.swap(slots_);
+      for (std::uint64_t k : old) {
+        if (k != k_free) place(k);
+      }
+    }
+    if (!place(key)) return false;
+    ++size_;
+    return true;
+  }
+
+ private:
+  // No pair packs to this: ids stay below the node budget's 2^32.
+  static constexpr std::uint64_t k_free = ~std::uint64_t{0};
+
+  // False when `key` is already present.
+  bool place(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == k_free) {
+        slots_[i] = key;
+        return true;
+      }
+      if (slots_[i] == key) return false;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, k_free);
+  std::size_t size_ = 0;
+};
+
 struct search {
   const std::vector<op_record>& ops;
-  std::vector<std::vector<std::size_t>> preds;  // real-time predecessors
-  std::unordered_set<std::string> visited;
+  /// Bit j of preds[i]: op j responded before op i was invoked.
+  std::vector<std::uint64_t> preds;
+  /// One reusable spec per depth: states[d] holds the state after the op
+  /// linearized at depth d - 1, overwritten by each sibling branch.
+  std::vector<std::unique_ptr<spec>> states;
+  mask_interner done_ids;
+  state_interner state_ids;
+  visited_set visited;
   std::vector<std::pair<std::size_t, bool>> chosen;  // (index, dropped)
   std::size_t budget;
   std::size_t nodes = 0;
   std::size_t best_depth = 0;
 
   explicit search(const std::vector<op_record>& o, std::size_t b)
-      : ops(o), budget(b) {
-    preds.resize(ops.size());
+      : ops(o), preds(o.size(), 0), states(o.size() + 1), budget(b) {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       for (std::size_t j = 0; j < ops.size(); ++j) {
         if (j == i) continue;
         if (ops[j].response_index != k_npos &&
             ops[j].response_index < ops[i].invoke_index) {
-          preds[i].push_back(j);
+          preds[i] |= std::uint64_t{1} << j;
         }
       }
     }
-  }
-
-  bool eligible(std::uint64_t done, std::size_t i) const {
-    if (done & (std::uint64_t{1} << i)) return false;
-    for (std::size_t j : preds[i]) {
-      if (!(done & (std::uint64_t{1} << j))) return false;
-    }
-    return true;
+    chosen.reserve(ops.size());
   }
 
   // Returns true on success; false when this subtree has no linearization.
@@ -59,21 +218,28 @@ struct search {
     if (budget-- == 0) throw std::length_error("budget");
     ++nodes;
 
-    std::string key = std::to_string(done) + '|' + state.serialize();
-    if (!visited.insert(std::move(key)).second) return false;
+    if (!visited.insert(done_ids.intern(done), state_ids.intern(state))) {
+      return false;
+    }
 
+    // `state` is states[k] for some k <= depth (or the initial spec), so
+    // overwriting states[depth + 1] per branch never clobbers it.
+    std::unique_ptr<spec>& next = states[depth + 1];
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (!eligible(done, i)) continue;
-      std::uint64_t done2 = done | (std::uint64_t{1} << i);
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      if ((done & bit) != 0 || (preds[i] & ~done) != 0) continue;
+      const std::uint64_t done2 = done | bit;
       // Branch 1: linearize op i here.
-      {
-        auto next = state.clone();
-        value_t resp = next->apply(ops[i].desc);
-        if (!ops[i].has_response || resp == ops[i].response) {
-          chosen.emplace_back(i, false);
-          if (dfs(done2, *next)) return true;
-          chosen.pop_back();
-        }
+      if (next) {
+        next->assign_from(state);
+      } else {
+        next = state.clone();
+      }
+      value_t resp = next->apply(ops[i].desc);
+      if (!ops[i].has_response || resp == ops[i].response) {
+        chosen.emplace_back(i, false);
+        if (dfs(done2, *next)) return true;
+        chosen.pop_back();
       }
       // Branch 2: drop op i (only if the model allows it).
       if (ops[i].optional) {
@@ -113,11 +279,16 @@ lin_result check_linearizable(const std::vector<op_record>& ops,
     return r;
   }
   r.nodes = s.nodes;
-  std::ostringstream os;
-  os << "not linearizable; deepest prefix ordered " << s.best_depth << " of "
-     << ops.size() << " ops. Ops:\n";
-  for (const auto& op : ops) os << "  " << op.to_string() << '\n';
-  r.error = os.str();
+  r.error = "not linearizable; deepest prefix ordered ";
+  append_int(r.error, s.best_depth);
+  r.error += " of ";
+  append_int(r.error, ops.size());
+  r.error += " ops. Ops:\n";
+  for (const auto& op : ops) {
+    r.error += "  ";
+    op.append_to(r.error);
+    r.error += '\n';
+  }
   return r;
 }
 

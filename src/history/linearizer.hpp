@@ -12,7 +12,10 @@
 // Complexity is exponential in the worst case; memoization on
 // (set-of-done-ops, spec-state) makes realistic test histories fast. A node
 // budget turns pathological inputs into an explicit "inconclusive" rather
-// than a hang.
+// than a hang. No search node allocates in the steady state: real-time
+// predecessors are one bit mask per op, the spec state is kept once per
+// depth and overwritten in place (spec::assign_from), and the memo key is
+// one word, (done-mask id, state id), both interned through exact tables.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +37,9 @@ struct op_record {
   bool has_response = false;  // response is constrained and must match
   bool optional = false;      // may be excluded from the linearization
 
+  /// Appends the text `to_string()` returns, e.g.
+  /// `p0:cas(0,5)@obj1 [3,7] -> 1` or `p1:push(4)@obj0 [9,open] (optional)`.
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 

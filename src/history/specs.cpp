@@ -1,20 +1,11 @@
 #include "history/specs.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <concepts>
 #include <stdexcept>
 
 namespace detect::hist {
 
 namespace {
-/// Appends `v` in decimal, as `std::ostream << v` prints it.
-void append_int(std::string& out, std::integral auto v) {
-  char buf[24];  // INT64_MIN and UINT64_MAX both take 20 characters
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
 [[noreturn]] void bad_op(const char* spec_name, const op_desc& op) {
   throw std::invalid_argument(std::string(spec_name) +
                               ": unsupported operation " + op.to_string());
@@ -134,22 +125,20 @@ value_t stack_spec::apply(const op_desc& op) {
   }
 }
 
-std::string stack_spec::serialize() const {
-  std::string out = "s";
+void stack_spec::serialize_to(std::string& out) const {
+  out += 's';
   for (value_t v : items_) {
     append_int(out, v);
     out += ',';
   }
-  return out;
 }
 
-std::string queue_spec::serialize() const {
-  std::string out = "q";
+void queue_spec::serialize_to(std::string& out) const {
+  out += 'q';
   for (value_t v : items_) {
     append_int(out, v);
     out += ',';
   }
-  return out;
 }
 
 value_t max_register_spec::apply(const op_desc& op) {
@@ -169,6 +158,16 @@ multi_spec::multi_spec(const multi_spec& other) {
   for (const auto& [id, s] : other.subs_) subs_.emplace_back(id, s->clone());
 }
 
+void multi_spec::assign_from(const spec& other) {
+  assert(typeid(other) == typeid(multi_spec));
+  const auto& o = static_cast<const multi_spec&>(other);
+  assert(subs_.size() == o.subs_.size());
+  for (std::size_t i = 0; i < subs_.size(); ++i) {
+    assert(subs_[i].first == o.subs_[i].first);
+    subs_[i].second->assign_from(*o.subs_[i].second);
+  }
+}
+
 void multi_spec::add_object(std::uint32_t id, std::unique_ptr<spec> s) {
   subs_.emplace_back(id, std::move(s));
 }
@@ -181,15 +180,13 @@ value_t multi_spec::apply(const op_desc& op) {
                               std::to_string(op.object));
 }
 
-std::string multi_spec::serialize() const {
-  std::string out;
+void multi_spec::serialize_to(std::string& out) const {
   for (const auto& [id, s] : subs_) {
     append_int(out, id);
     out += '=';
-    out += s->serialize();
+    s->serialize_to(out);
     out += ';';
   }
-  return out;
 }
 
 std::unique_ptr<spec> make_spec_for(opcode family, value_t init) {

@@ -2,6 +2,8 @@
 // durable-linearizability/detectability record builder.
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,6 +107,95 @@ TEST(specs, clone_is_deep) {
       << "clone must not see post-clone mutations";
 }
 
+// ---- state reuse (spec::assign_from) --------------------------------------------
+
+// One of every spec, each with an op alphabet covering its operations.
+struct spec_case {
+  const char* name;
+  std::unique_ptr<hist::spec> proto;
+  std::vector<op_desc> alphabet;
+};
+
+op_desc on(std::uint32_t object, op_desc d) {
+  d.object = object;
+  return d;
+}
+
+std::vector<spec_case> every_spec() {
+  std::vector<spec_case> out;
+  out.push_back({"register", std::make_unique<hist::register_spec>(3),
+                 {mk(opcode::reg_read), mk(opcode::reg_write, 1),
+                  mk(opcode::reg_write, 2), mk(opcode::swap, 5)}});
+  out.push_back({"lock", std::make_unique<hist::lock_spec>(),
+                 {mk(opcode::lock_try, 0), mk(opcode::lock_try, 1),
+                  mk(opcode::lock_release, 0), mk(opcode::lock_release, 1)}});
+  out.push_back({"cas", std::make_unique<hist::cas_spec>(0),
+                 {mk(opcode::cas_read), mk(opcode::cas, 0, 1),
+                  mk(opcode::cas, 1, 2), mk(opcode::cas, 2, 0)}});
+  out.push_back({"counter", std::make_unique<hist::counter_spec>(0, 9),
+                 {mk(opcode::ctr_read), mk(opcode::ctr_add, 1),
+                  mk(opcode::ctr_add, 3)}});
+  out.push_back({"tas", std::make_unique<hist::tas_spec>(),
+                 {mk(opcode::tas_set), mk(opcode::tas_reset)}});
+  out.push_back({"queue", std::make_unique<hist::queue_spec>(),
+                 {mk(opcode::enq, 1), mk(opcode::enq, 2), mk(opcode::deq)}});
+  out.push_back({"stack", std::make_unique<hist::stack_spec>(),
+                 {mk(opcode::push, 1), mk(opcode::push, 2), mk(opcode::pop)}});
+  out.push_back({"max_register", std::make_unique<hist::max_register_spec>(0),
+                 {mk(opcode::max_read), mk(opcode::max_write, 4),
+                  mk(opcode::max_write, 7)}});
+  auto product = std::make_unique<hist::multi_spec>();
+  product->add_object(0, std::make_unique<hist::stack_spec>());
+  product->add_object(1, std::make_unique<hist::register_spec>(0));
+  out.push_back({"multi(stack, register)", std::move(product),
+                 {on(0, mk(opcode::push, 1)), on(0, mk(opcode::push, 2)),
+                  on(0, mk(opcode::pop)), on(1, mk(opcode::reg_read)),
+                  on(1, mk(opcode::reg_write, 6))}});
+  return out;
+}
+
+// A state overwritten in place through assign_from is indistinguishable
+// from a fresh clone: the same encoding, and the same responses from there
+// on. The reused state first runs an unrelated op sequence, so its storage
+// holds a different (longer or shorter) state when it is overwritten.
+TEST(specs, assign_from_matches_a_fresh_clone) {
+  std::mt19937_64 rng(7);
+  for (const spec_case& c : every_spec()) {
+    const auto draw = [&] { return c.alphabet[rng() % c.alphabet.size()]; };
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<op_desc> ops(24);
+      for (op_desc& op : ops) op = draw();
+      std::unique_ptr<hist::spec> reused = c.proto->clone();
+      for (int junk = 0; junk < trial; ++junk) reused->apply(draw());
+
+      std::unique_ptr<hist::spec> cur = c.proto->clone();
+      for (std::size_t k = 0; k <= ops.size(); ++k) {
+        const std::string before = cur->serialize();
+        reused->assign_from(*cur);
+        ASSERT_EQ(reused->serialize(), before) << c.name << " step " << k;
+        std::unique_ptr<hist::spec> fresh = cur->clone();
+        for (std::size_t j = k; j < ops.size(); ++j) {
+          ASSERT_EQ(reused->apply(ops[j]), fresh->apply(ops[j]))
+              << c.name << " step " << k << " op " << j;
+          ASSERT_EQ(reused->serialize(), fresh->serialize())
+              << c.name << " step " << k << " op " << j;
+        }
+        EXPECT_EQ(cur->serialize(), before)
+            << c.name << ": assign_from must copy, not share, the state";
+        if (k < ops.size()) cur->apply(ops[k]);
+      }
+    }
+  }
+}
+
+TEST(specs, serialize_to_appends) {
+  for (const spec_case& c : every_spec()) {
+    std::string out = "prefix|";
+    c.proto->serialize_to(out);
+    EXPECT_EQ(out, "prefix|" + c.proto->serialize()) << c.name;
+  }
+}
+
 // ---- linearizer ----------------------------------------------------------------
 
 hist::op_record rec(int pid, op_desc d, std::size_t inv, std::size_t resp,
@@ -198,6 +289,132 @@ TEST(linearizer, witness_has_all_nonoptional_ops) {
   auto r = hist::check_linearizable(ops, hist::register_spec(0));
   ASSERT_TRUE(r.linearizable);
   EXPECT_EQ(r.witness.size(), 2u);
+}
+
+hist::op_record pending(int pid, op_desc d, std::size_t inv) {
+  hist::op_record o = rec(pid, d, inv, k_npos, 0);
+  o.has_response = false;
+  o.optional = true;
+  return o;
+}
+
+// Replays `witness` through a fresh copy of `initial`: every constrained
+// response must match, and every mandatory op must be present.
+void expect_witness_replays(const std::vector<hist::op_record>& ops,
+                            const hist::spec& initial,
+                            const std::vector<std::size_t>& witness) {
+  std::unique_ptr<hist::spec> s = initial.clone();
+  std::vector<bool> seen(ops.size(), false);
+  for (std::size_t i : witness) {
+    ASSERT_LT(i, ops.size());
+    EXPECT_FALSE(seen[i]) << "op " << i << " linearized twice";
+    seen[i] = true;
+    const hist::value_t resp = s->apply(ops[i].desc);
+    if (ops[i].has_response) {
+      EXPECT_EQ(resp, ops[i].response) << ops[i].to_string();
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].optional) {
+      EXPECT_TRUE(seen[i]) << ops[i].to_string();
+    }
+  }
+}
+
+// Pending pushes and pops leave the search both an apply branch and a drop
+// branch at every depth, so states reused per depth are overwritten between
+// siblings while a dropped branch still reads its parent's state. The
+// mandatory pops only fit one arrangement of the pending ops, found after
+// backtracking through many others.
+TEST(linearizer, drop_and_apply_branches_share_a_depth) {
+  std::vector<hist::op_record> ops{
+      rec(0, mk(opcode::push, 1), 0, 1, k_ack),
+      pending(1, mk(opcode::push, 2), 2),
+      pending(2, mk(opcode::pop), 3),
+      pending(3, mk(opcode::push, 3), 4),
+      pending(4, mk(opcode::push, 4), 5),
+      pending(5, mk(opcode::pop), 6),
+      rec(0, mk(opcode::pop), 7, 8, 3),
+      rec(0, mk(opcode::pop), 9, 10, 2),
+      rec(0, mk(opcode::pop), 11, 12, 1),
+  };
+  hist::stack_spec initial;
+  auto r = hist::check_linearizable(ops, initial);
+  ASSERT_TRUE(r.linearizable) << r.error;
+  expect_witness_replays(ops, initial, r.witness);
+  // The first witness in search order drops the first pending pop; the
+  // clone-per-branch search found the same one with the same node count.
+  EXPECT_EQ(r.witness, (std::vector<std::size_t>{0, 1, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(r.nodes, 87u);
+}
+
+// Reference: every real-time-respecting order, each step on a fresh clone.
+bool brute_force_linearizable(const std::vector<hist::op_record>& ops,
+                              const hist::spec& state, std::uint64_t done) {
+  if (done == (std::uint64_t{1} << ops.size()) - 1) return true;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if ((done >> i) & 1) continue;
+    bool ready = true;
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      if (j != i && !((done >> j) & 1) && ops[j].response_index != k_npos &&
+          ops[j].response_index < ops[i].invoke_index) {
+        ready = false;
+      }
+    }
+    if (!ready) continue;
+    const std::uint64_t next = done | (std::uint64_t{1} << i);
+    std::unique_ptr<hist::spec> after = state.clone();
+    const hist::value_t resp = after->apply(ops[i].desc);
+    if ((!ops[i].has_response || resp == ops[i].response) &&
+        brute_force_linearizable(ops, *after, next)) {
+      return true;
+    }
+    if (ops[i].optional && brute_force_linearizable(ops, state, next)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Random small stack histories with pending ops: the memoized search with
+// reused states agrees with the clone-per-step reference on every verdict,
+// and every witness it returns replays.
+TEST(linearizer, agrees_with_brute_force_on_random_stack_histories) {
+  std::mt19937_64 rng(11);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 3 + rng() % 5;
+    std::vector<hist::op_record> ops;
+    std::size_t clock = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const op_desc d = rng() % 2 ? mk(opcode::push, 1 + rng() % 3)
+                                  : mk(opcode::pop);
+      const std::size_t inv = clock++;
+      if (rng() % 4 == 0) {
+        ops.push_back(pending(static_cast<int>(i), d, inv));
+        continue;
+      }
+      clock += rng() % 3;  // later invocations may overlap this op
+      const hist::value_t resp = d.code == opcode::push
+                                     ? k_ack
+                                     : static_cast<hist::value_t>(rng() % 4);
+      ops.push_back(rec(static_cast<int>(i), d, inv, clock++,
+                        resp == 0 ? k_empty : resp));
+    }
+    hist::stack_spec initial;
+    const auto r = hist::check_linearizable(ops, initial);
+    ASSERT_EQ(r.linearizable, brute_force_linearizable(ops, initial, 0))
+        << "trial " << trial;
+    if (r.linearizable) {
+      expect_witness_replays(ops, initial, r.witness);
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(linearizer, rejects_oversized_histories) {

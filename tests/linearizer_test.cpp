@@ -1,7 +1,9 @@
 // Golden pin of the linearizer's results: hist::check_linearizable on every
 // object's sub-history and hist::check_durable_linearizability on the product
 // spec, over a 500-seed generated corpus, under small node budgets (so the
-// inconclusive boundary is pinned exactly) and the default one. The hash
+// inconclusive boundary is pinned exactly) and the default one. Each history
+// is checked whole and cut in half; the cut leaves operations pending, which
+// the search may drop, so its drop branches are pinned as well. The hash
 // folds in the verdict, the budget flag, the node count, the witness and the
 // error text, so any change to the search order, the node accounting or the
 // failure text shows up as a mismatch.
@@ -36,10 +38,11 @@ struct tally {
   std::size_t linearizable = 0;
   std::size_t rejected = 0;
   std::size_t inconclusive = 0;
+  std::size_t dropped = 0;  // linearizable with some pending op left out
 };
 
 std::uint64_t hash_lin(std::uint64_t h, const hist::lin_result& r,
-                       tally& t) {
+                       std::size_t ops, tally& t) {
   h = fnv(h, r.linearizable ? "lin" : "not");
   h = fnv(h, r.exhausted_budget ? "exhausted" : "decided");
   h = fnv(h, std::to_string(r.nodes));
@@ -49,6 +52,7 @@ std::uint64_t hash_lin(std::uint64_t h, const hist::lin_result& r,
     ++t.inconclusive;
   } else if (r.linearizable) {
     ++t.linearizable;
+    if (r.witness.size() < ops) ++t.dropped;
   } else {
     ++t.rejected;
   }
@@ -108,11 +112,22 @@ std::uint64_t hash_objects(std::uint64_t h, const api::scripted_scenario& s,
     const std::vector<hist::op_record> records =
         hist::build_records(hist::object_events(events, o.id));
     for (std::size_t b : k_small_budgets) {
-      h = hash_lin(h, hist::check_linearizable(records, *sp, b), t);
+      h = hash_lin(h, hist::check_linearizable(records, *sp, b),
+                   records.size(), t);
     }
-    h = hash_lin(h, hist::check_linearizable(records, *sp, budget), t);
+    h = hash_lin(h, hist::check_linearizable(records, *sp, budget),
+                 records.size(), t);
   }
   return h;
+}
+
+// The whole log and its first half.
+std::vector<std::vector<hist::event>> whole_and_cut(
+    const std::vector<hist::event>& events) {
+  return {events, std::vector<hist::event>(
+                      events.begin(),
+                      events.begin() + static_cast<std::ptrdiff_t>(
+                                           events.size() / 2))};
 }
 
 void expect_every_outcome(const tally& t) {
@@ -131,29 +146,33 @@ TEST(linearizer_pin, results_over_500_seed_corpus) {
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {
     const api::scripted_scenario s =
         fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
-    const std::vector<hist::event> events = api::replay(s).events;
-    for (hist::value_t shift : {0, 1}) {
-      per_object = hash_objects(per_object, s, events, shift,
-                                hist::k_default_node_budget, objects_tally);
-      // The product spec harness::spec() assembles: one sub-spec per object.
-      hist::multi_spec all;
-      for (const api::scenario_object& o : s.objects) {
-        all.add_object(o.id, shifted_spec(o, shift));
-      }
-      for (std::size_t b : k_small_budgets) {
+    for (const auto& events : whole_and_cut(api::replay(s).events)) {
+      for (hist::value_t shift : {0, 1}) {
+        per_object = hash_objects(per_object, s, events, shift,
+                                  hist::k_default_node_budget, objects_tally);
+        // The product spec harness::spec() assembles: one sub-spec per
+        // object.
+        hist::multi_spec all;
+        for (const api::scenario_object& o : s.objects) {
+          all.add_object(o.id, shifted_spec(o, shift));
+        }
+        for (std::size_t b : k_small_budgets) {
+          product = hash_check(
+              product, hist::check_durable_linearizability(events, all, b),
+              product_tally);
+        }
         product = hash_check(
-            product, hist::check_durable_linearizability(events, all, b),
+            product,
+            hist::check_durable_linearizability(events, all, 100'000),
             product_tally);
       }
-      product = hash_check(
-          product, hist::check_durable_linearizability(events, all, 100'000),
-          product_tally);
     }
   }
   expect_every_outcome(objects_tally);
+  EXPECT_GT(objects_tally.dropped, 0u);
   expect_every_outcome(product_tally);
-  EXPECT_EQ(per_object, 6915296392619621321ULL);
-  EXPECT_EQ(product, 1054845332305560383ULL);
+  EXPECT_EQ(per_object, 5475239762450445909ULL);
+  EXPECT_EQ(product, 3061879462998703583ULL);
 }
 
 // The long single-object histories the deep_check benchmark replays (stack
@@ -184,12 +203,14 @@ TEST(linearizer_pin, results_over_deep_histories) {
     g.allow_sharded_backend = false;
     g.allow_migrations = false;
     const api::scripted_scenario s = fuzz::generate(i + 1, sh.kind, g);
-    const std::vector<hist::event> events = api::replay(s).events;
-    h = hash_objects(h, s, events, 0, hist::k_default_node_budget, t);
-    h = hash_objects(h, s, events, 1, 20'000, t);
+    for (const auto& events : whole_and_cut(api::replay(s).events)) {
+      h = hash_objects(h, s, events, 0, hist::k_default_node_budget, t);
+      h = hash_objects(h, s, events, 1, 20'000, t);
+    }
   }
   expect_every_outcome(t);
-  EXPECT_EQ(h, 5148392472577503107ULL);
+  EXPECT_GT(t.dropped, 0u);
+  EXPECT_EQ(h, 6349155761739784097ULL);
 }
 
 }  // namespace
