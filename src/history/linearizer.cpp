@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 namespace detect::hist {
 
@@ -149,8 +150,8 @@ class visited_set {
   bool insert(std::uint32_t done_id, std::uint32_t state_id) {
     const std::uint64_t key = std::uint64_t{done_id} << 32 | state_id;
     if (2 * (size_ + 1) > slots_.size()) {
-      std::vector<std::uint64_t> old(2 * slots_.size(), k_free);
-      old.swap(slots_);
+      const std::vector<std::uint64_t> old = std::exchange(
+          slots_, std::vector<std::uint64_t>(2 * slots_.size(), k_free));
       for (std::uint64_t k : old) {
         if (k != k_free) place(k);
       }
@@ -161,7 +162,8 @@ class visited_set {
   }
 
  private:
-  // No pair packs to this: ids stay below the node budget's 2^32.
+  // No pair packs to this: it takes 2^32 - 1 distinct done masks and as
+  // many distinct states, more than any search can hold in memory.
   static constexpr std::uint64_t k_free = ~std::uint64_t{0};
 
   // False when `key` is already present.
