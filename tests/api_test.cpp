@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "core/detectable_cas.hpp"
+#include "serve/serve.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -170,6 +172,180 @@ TEST(harness_builder, max_steps_is_honored) {
   h.script(0, {r.write(1), r.write(2), r.write(3)});
   auto report = h.run();
   EXPECT_TRUE(report.hit_step_limit);
+}
+
+// ---- one run policy behind every builder ------------------------------------
+
+// One fixed multi-object workload, run through harness::builder and through
+// the single-backend executor::builder under each run setting. Both must
+// produce the same log, run report and verdict, and each row's hash is
+// pinned: a setter that stops reaching the world, or reaches it differently,
+// moves it. The two engines are behavior-identical, so their rows agree.
+std::uint64_t fnv(std::uint64_t h, const std::string& s) {
+  for (unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ULL;
+  }
+  return (h ^ 0xff) * 1099511628211ULL;  // field separator
+}
+
+constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
+
+std::uint64_t hash_run(const std::string& log_text,
+                       const sim::run_report& r,
+                       const hist::check_result& c) {
+  std::uint64_t h = fnv(k_fnv_basis, log_text);
+  for (std::uint64_t v : {r.steps, r.crashes, r.nvm_cells, r.nvm_bytes,
+                          r.drain_steps, r.max_pending_stores}) {
+    h = fnv(h, std::to_string(v));
+  }
+  h = fnv(h, r.hit_step_limit ? "limit" : "-");
+  h = fnv(h, r.limit_note);
+  h = fnv(h, r.lost_persistence ? "lost" : "-");
+  h = fnv(h, c.ok ? "ok" : "rejected");
+  h = fnv(h, std::to_string(c.nodes));
+  return fnv(h, c.message);
+}
+
+struct setting_pin {
+  const char* name;
+  std::uint64_t hash;
+};
+
+const setting_pin k_setting_pins[] = {
+    {"defaults", 1792608931577943850ULL},
+    {"seed_pct", 15830534035708746123ULL},
+    {"buffered_persist", 14542942333907881510ULL},
+    {"tso_drain_at", 5991851367587486827ULL},
+    {"crash_at", 1046755004407294942ULL},
+    {"crash_random", 2587694661587868413ULL},
+    {"shared_cache_auto_persist", 10937658743551565538ULL},
+    {"shared_cache_no_auto_persist", 2446011991235741867ULL},
+    {"retry", 1940906928006648966ULL},
+    {"max_steps_limit", 4083085950161400429ULL},
+    {"fiber_engine", 17519818188196813325ULL},
+    {"thread_engine", 17519818188196813325ULL},
+};
+
+template <typename B>
+void apply_setting(B& b, const std::string& name) {
+  b.procs(3);
+  if (name == "seed_pct") {
+    b.seed(11).schedule({.strat = sched::strategy::pct, .pct_points = {4, 13}});
+  } else if (name == "buffered_persist") {
+    b.seed(3).persist(nvm::persist_model::buffered).crash_at({17});
+  } else if (name == "tso_drain_at") {
+    b.seed(5).visibility(wmm::visibility_model::tso).drain_at({6, 15});
+  } else if (name == "crash_at") {
+    b.crash_at({9, 23});
+  } else if (name == "crash_random") {
+    b.seed(8).crash_random(21, 0.05, 3);
+  } else if (name == "shared_cache_auto_persist") {
+    b.seed(2).shared_cache(true).crash_at({14});
+  } else if (name == "shared_cache_no_auto_persist") {
+    b.seed(2).shared_cache(false).crash_at({14});
+  } else if (name == "retry") {
+    b.seed(4)
+        .fail_policy(core::runtime::fail_policy::retry)
+        .crash_at({7, 19});
+  } else if (name == "max_steps_limit") {
+    b.seed(6).max_steps(25);
+  } else if (name == "fiber_engine" || name == "thread_engine") {
+    const sim::engine_kind e = name == "fiber_engine"
+                                   ? sim::engine_kind::fiber
+                                   : sim::engine_kind::thread;
+    if constexpr (std::is_same_v<B, api::harness::builder>) {
+      sim::world_config w;
+      w.engine = e;
+      b.world(w);
+    } else {
+      b.engine(e);
+    }
+    b.seed(9).crash_at({12});
+  }
+}
+
+/// The fixed workload: four objects, three processes, cross-object scripts.
+template <typename Target>
+void script_workload(Target& t) {
+  api::reg r = t.add_reg();
+  api::cas c = t.add_cas(1);
+  api::counter k = t.add_counter();
+  api::queue q = t.add_queue(8);
+  t.script(0, {r.write(1), c.compare_and_set(1, 2), q.enq(5), k.add(2),
+               r.read()});
+  t.script(1, {c.compare_and_set(1, 3), q.enq(6), r.write(2), k.read(),
+               q.deq()});
+  t.script(2, {k.add(3), q.deq(), c.read(), r.read()});
+}
+
+TEST(run_policy_pin, harness_and_executor_agree_per_setting) {
+  for (const setting_pin& pin : k_setting_pins) {
+    SCOPED_TRACE(pin.name);
+    api::harness::builder hb;
+    apply_setting(hb, pin.name);
+    api::harness h = hb.build();
+    script_workload(h);
+    const sim::run_report hr = h.run();
+    const std::uint64_t from_harness =
+        hash_run(h.log_text(), hr, h.check_per_object());
+
+    api::executor::builder eb;
+    apply_setting(eb, pin.name);
+    std::unique_ptr<api::executor> ex = eb.build();
+    script_workload(*ex);
+    const sim::run_report er = ex->run();
+    const std::uint64_t from_executor =
+        hash_run(ex->log_text(), er, ex->check());
+
+    EXPECT_EQ(from_harness, from_executor);
+    EXPECT_EQ(from_harness, pin.hash);
+  }
+}
+
+// A deterministic serving soak: crashes every round and the rebalancer
+// moving a hot cluster. The server builds its executor from the same
+// policy; its log, stats and verdict are pinned.
+TEST(run_policy_pin, server_pump_soak) {
+  auto srv = serve::server::builder()
+                 .shards(2)
+                 .procs(4)
+                 .seed(13)
+                 .crash_random(29, 0.01, 2)
+                 .batch_max_ops(64)
+                 .rebalance({.enabled = true,
+                             .window = 2,
+                             .check_every = 2,
+                             .hot_ratio = 1.2,
+                             .sustain = 1,
+                             .max_moves = 4})
+                 .build();
+  std::vector<api::counter> objs;
+  for (int i = 0; i < 8; ++i) objs.push_back(srv->add_counter());
+  std::vector<serve::session> sessions;
+  for (int i = 0; i < 4; ++i) sessions.push_back(srv->open_session());
+  for (int wave = 0; wave < 8; ++wave) {
+    for (int s = 0; s < 4; ++s) {
+      for (int i = 0; i < 6; ++i) {
+        // Most traffic lands on the even (shard-0) objects.
+        const int id = (i % 3 == 0 ? 2 * (s + wave) + 1 : 2 * (s + i)) % 8;
+        ASSERT_EQ(sessions[static_cast<std::size_t>(s)].submit(
+                      objs[static_cast<std::size_t>(id)].add(1)),
+                  serve::submit_status::admitted);
+      }
+    }
+    srv->pump();
+  }
+  srv->drain();
+  const serve::stats st = srv->snapshot();
+  EXPECT_GT(st.crashes, 0u);
+  EXPECT_FALSE(st.moves.empty());
+  const hist::check_result c = srv->check();
+  EXPECT_TRUE(c.ok) << c.message;
+  std::uint64_t h = fnv(k_fnv_basis, hist::format_log(srv->events()));
+  h = fnv(h, serve::stats_json(st));
+  h = fnv(h, c.ok ? "ok" : "rejected");
+  EXPECT_EQ(h, 8681697165048369594ULL);
 }
 
 // ---- arena (free-running façade) --------------------------------------------
