@@ -243,20 +243,25 @@ std::vector<hist::op_desc> smoke_script(op_family family,
 // ---------------------------------------------------------------------------
 // harness
 
-harness::harness(int nprocs, sim::world_config wcfg,
-                 core::runtime::fail_policy policy, bool shared_cache,
-                 bool auto_persist, nvm::persist_model persist, run_config rcfg)
-    : world_(std::make_unique<sim::world>(nprocs, wcfg)),
-      rcfg_(std::move(rcfg)) {
-  if (shared_cache) {
-    world_->domain().set_model(nvm::cache_model::shared_cache);
-    world_->domain().set_auto_persist(auto_persist);
+harness::harness(run_policy policy) : pol_(std::move(policy)) {
+  // The one place a run policy becomes a world: a second crash plan would
+  // never run, so refuse it rather than drop it.
+  if (!pol_.crash_steps.empty() && pol_.crash_random) {
+    throw std::invalid_argument(
+        "harness: crash_at and crash_random are exclusive crash plans — set "
+        "one");
   }
-  world_->domain().set_persist_model(persist);
-  board_ = std::make_unique<core::announcement_board>(nprocs, world_->domain());
+  world_ = std::make_unique<sim::world>(pol_.nprocs, pol_.wcfg);
+  if (pol_.shared_cache) {
+    world_->domain().set_model(nvm::cache_model::shared_cache);
+    world_->domain().set_auto_persist(pol_.auto_persist);
+  }
+  world_->domain().set_persist_model(pol_.persist);
+  board_ = std::make_unique<core::announcement_board>(pol_.nprocs,
+                                                      world_->domain());
   log_ = std::make_unique<hist::log>();
   rt_ = std::make_unique<core::runtime>(*world_, *log_, *board_);
-  rt_->set_fail_policy(policy);
+  rt_->set_fail_policy(pol_.fail);
 }
 
 object_handle harness::add(const std::string& kind,
@@ -348,19 +353,19 @@ sim::run_report harness::run() {
   prepare_run();
 
   std::unique_ptr<sim::scheduler> sched =
-      sched::make_scheduler(rcfg_.sched, rcfg_.sched_seed);
+      sched::make_scheduler(pol_.sched, pol_.sched_seed);
   std::unique_ptr<sim::crash_plan> crashes;
-  if (!rcfg_.crash_steps.empty()) {
-    crashes = std::make_unique<sim::crash_at_steps>(rcfg_.crash_steps);
-  } else if (rcfg_.crash_random) {
-    auto [seed, rate, max] = *rcfg_.crash_random;
+  if (!pol_.crash_steps.empty()) {
+    crashes = std::make_unique<sim::crash_at_steps>(pol_.crash_steps);
+  } else if (pol_.crash_random) {
+    auto [seed, rate, max] = *pol_.crash_random;
     crashes = std::make_unique<sim::random_crashes>(seed, rate, max);
   }
   return rt_->run(*sched, crashes.get());
 }
 
 void harness::reseed_crashes(std::uint64_t seed) {
-  if (rcfg_.crash_random) std::get<0>(*rcfg_.crash_random) = seed;
+  if (pol_.crash_random) std::get<0>(*pol_.crash_random) = seed;
 }
 
 std::unique_ptr<hist::spec> harness::spec() const {

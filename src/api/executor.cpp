@@ -59,29 +59,12 @@ void check_pid(int pid, int nprocs) {
       backend_name(b) + " backend runs exactly one world");
 }
 
-/// One harness configured per `p` — the building block of the single backend
-/// (one of them) and the sharded backend (one per shard).
-harness build_harness(const exec_policy& p) {
-  harness::builder b;
-  b.procs(p.nprocs).world(p.wcfg).fail_policy(p.fail);
-  if (p.sched_seed) b.seed(*p.sched_seed);
-  b.schedule(p.sched).persist(p.persist);
-  if (!p.crash_steps.empty()) b.crash_at(p.crash_steps);
-  if (p.crash_random) {
-    auto [seed, rate, max] = *p.crash_random;
-    b.crash_random(seed, rate, max);
-  }
-  if (p.shared_cache) b.shared_cache(p.auto_persist);
-  return b.build();
-}
-
 // ---------------------------------------------------------------------------
 // single — today's one-world harness, verbatim.
 
 class single_executor final : public executor {
  public:
-  explicit single_executor(const exec_policy& p)
-      : pol_(p), h_(build_harness(p)) {}
+  explicit single_executor(const exec_policy& p) : pol_(p), h_(p) {}
 
   exec_backend backend() const noexcept override {
     return exec_backend::single;
@@ -172,7 +155,7 @@ class sharded_executor final : public executor {
     if (lanes_ > 0) util::task_pool::shared().ensure_workers(lanes_);
     shards_.reserve(static_cast<std::size_t>(p.shards));
     for (int k = 0; k < p.shards; ++k) {
-      shards_.push_back(std::make_unique<harness>(build_harness(p)));
+      shards_.push_back(std::make_unique<harness>(p));
     }
     installed_.resize(shards_.size());
   }
@@ -220,8 +203,7 @@ class sharded_executor final : public executor {
     harness& home = *shards_[static_cast<std::size_t>(shard)];
     object_handle handle = home.add_as(id, kind, params);
     placed_.emplace(id, placed_object{kind, params, shard, decl_index,
-                                      home.events().size(),
-                                      {}});
+                                      home.log().size(), {}});
     next_id_ = std::max(next_id_, id + 1);
     return handle;
   }
@@ -301,7 +283,7 @@ class sharded_executor final : public executor {
     // earlier run's events on a high one.
     std::vector<std::size_t> mark(shards_.size());
     for (std::size_t k = 0; k < shards_.size(); ++k) {
-      mark[k] = shards_[k]->events().size();
+      mark[k] = shards_[k]->log().size();
     }
     round_marks_.push_back(std::move(mark));
 
@@ -357,7 +339,7 @@ class sharded_executor final : public executor {
     harness& dst = *shards_[static_cast<std::size_t>(shard)];
     dst.adopt_object(object_id, rec.kind, rec.params, image);
     rec.shard = shard;
-    rec.arrival = dst.events().size();
+    rec.arrival = dst.log().size();
     rec.moved = true;
     any_migrated_ = true;
   }

@@ -1,7 +1,9 @@
 // detect::api::executor — pluggable execution backends behind one interface.
 //
 // An executor runs scripted workloads over registry objects and hands back a
-// checkable history; which machinery executes them is a builder policy:
+// checkable history; which machinery executes them is a builder policy. The
+// builder carries the harness's run setters (api/run_policy.hpp) plus the
+// backend choice:
 //
 //   auto ex = api::executor::builder()
 //                 .backend(api::exec_backend::sharded)
@@ -46,9 +48,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "api/harness.hpp"
@@ -62,9 +62,10 @@ const char* backend_name(exec_backend b) noexcept;
 /// Inverse of backend_name(). Throws std::invalid_argument on unknown names.
 exec_backend backend_from_name(const std::string& name);
 
-/// Everything a backend needs to build itself — the builder's output and the
-/// one value scripted replays serialize.
-struct exec_policy {
+/// Everything a backend needs to build itself — the builder's output: the
+/// run policy every world gets, plus how many worlds there are and how
+/// objects and drivers spread over them.
+struct exec_policy : run_policy {
   exec_backend backend = exec_backend::single;
   int shards = 1;  // sharded backend: number of sim::world shards
   /// Sharded backend: which shard hosts each object (see api/placement.hpp).
@@ -76,21 +77,9 @@ struct exec_policy {
   /// inline" (one lane would only add handoff latency over the submitter's
   /// own loop).
   int pool_threads = 0;
-  int nprocs = 2;
-  core::runtime::fail_policy fail = core::runtime::fail_policy::skip;
-  bool shared_cache = false;
-  bool auto_persist = true;
-  /// Persistency-visibility model (strict / buffered; see nvm::persist_model).
-  nvm::persist_model persist = nvm::persist_model::strict;
-  sim::world_config wcfg;
-  std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
-  /// Schedule-exploration strategy `sched_seed` drives (see detect::sched).
-  sched::sched_policy sched;
-  std::vector<std::uint64_t> crash_steps;
-  std::optional<std::tuple<std::uint64_t, double, std::uint64_t>> crash_random;
 };
 
-class executor {
+class executor : public typed_adders<executor> {
  public:
   class builder;
 
@@ -131,24 +120,6 @@ class executor {
   /// identity, not an accident of creation order.
   virtual object_handle add_as(std::uint32_t id, const std::string& kind,
                                const object_params& params = {}) = 0;
-
-  reg add_reg(value_t init = 0) { return reg(add("reg", {.init = init})); }
-  cas add_cas(value_t init = 0) { return cas(add("cas", {.init = init})); }
-  counter add_counter(value_t init = 0) {
-    return counter(add("counter", {.init = init}));
-  }
-  swap_reg add_swap(value_t init = 0) {
-    return swap_reg(add("swap", {.init = init}));
-  }
-  tas add_tas() { return tas(add("tas")); }
-  queue add_queue(std::size_t capacity = 64) {
-    return queue(add("queue", {.capacity = capacity}));
-  }
-  stack add_stack(std::size_t capacity = 64) {
-    return stack(add("stack", {.capacity = capacity}));
-  }
-  max_reg add_max_reg() { return max_reg(add("max_reg")); }
-  lock add_lock() { return lock(add("lock")); }
 
   // ---- scripting & running -------------------------------------------------
 
@@ -207,7 +178,10 @@ class executor {
   std::string log_text() const;
 };
 
-class executor::builder {
+/// The shared run setters (api::run_builder) plus the backend choice.
+/// Crash steps and drain points count each world's own steps, so on the
+/// sharded backend every shard crashes at the listed values.
+class executor::builder : public run_builder<executor::builder, exec_policy> {
  public:
   builder& backend(exec_backend b) {
     pol_.backend = b;
@@ -237,87 +211,17 @@ class executor::builder {
     pol_.pool_threads = n;
     return *this;
   }
-  builder& procs(int n) {
-    pol_.nprocs = n;
-    return *this;
-  }
-  builder& max_steps(std::uint64_t n) {
-    pol_.wcfg.max_steps = n;
-    return *this;
-  }
-  builder& fail_policy(core::runtime::fail_policy p) {
-    pol_.fail = p;
-    return *this;
-  }
-  /// Strand engine for the simulated worlds (fiber or thread; see
-  /// sim/strand.hpp). Default: the process-global sim::default_engine().
-  builder& engine(sim::engine_kind e) {
-    pol_.wcfg.engine = e;
-    return *this;
-  }
-  /// Seeded random scheduler for run(); default is round robin.
-  builder& seed(std::uint64_t s) {
-    pol_.sched_seed = s;
-    return *this;
-  }
-  /// Schedule-exploration strategy the seed drives: round_robin,
-  /// uniform_random (default), or pct with explicit preemption points.
-  builder& schedule(sched::sched_policy p) {
-    pol_.sched = std::move(p);
-    return *this;
-  }
-  /// Persistency-visibility model. Default strict; buffered makes stores
-  /// crash-persistent only at flush/epoch boundaries.
-  builder& persist(nvm::persist_model m) {
-    pol_.persist = m;
-    return *this;
-  }
-  /// Store-buffer visibility model between live processes (sc / tso / pso;
-  /// see wmm::visibility_model). Default sc. Orthogonal to persist():
-  /// buffered stores drain before they persist or journal. build() rejects
-  /// tso/pso on the threads backend (store buffers need the simulated
-  /// world's step token).
-  builder& visibility(wmm::visibility_model m) {
-    pol_.wcfg.visibility = m;
-    return *this;
-  }
-  /// Scripted full-drain steps under tso/pso, keyed on the (shard-local)
-  /// step counter like crash_at (see sim::world_config::drain_points).
-  builder& drain_at(std::vector<std::uint64_t> steps) {
-    pol_.wcfg.drain_points = std::move(steps);
-    return *this;
-  }
-  /// Crash when the (shard-local) step counter hits each listed value.
-  builder& crash_at(std::vector<std::uint64_t> steps) {
-    pol_.crash_steps = std::move(steps);
-    return *this;
-  }
-  /// Crash with probability `rate` before each step, at most `max` times.
-  builder& crash_random(std::uint64_t s, double rate, std::uint64_t max) {
-    pol_.crash_random = {s, rate, max};
-    return *this;
-  }
-  /// Shared-cache memory model; `auto_persist` applies the §6 syntactic
-  /// flush/fence transformation to every shared access.
-  builder& shared_cache(bool auto_persist = true) {
-    pol_.shared_cache = true;
-    pol_.auto_persist = auto_persist;
-    return *this;
-  }
 
   std::unique_ptr<executor> build() const;
-
- private:
-  exec_policy pol_;
 };
 
 /// Instantiate the backend `p` selects. Throws std::invalid_argument on
 /// nonsensical policies: shards < 1, shards > 1 on a non-sharded backend,
-/// pinned placement maps naming out-of-range shards, or crash/shared-cache
-/// plans on the threads backend (which cannot deliver simulated crashes);
-/// likewise non-default schedule strategies, buffered persistency, or a
-/// tso/pso visibility model on the threads backend (all need the simulated
-/// world).
+/// pinned placement maps naming out-of-range shards, both crash plans at
+/// once, or crash/shared-cache plans on the threads backend (which cannot
+/// deliver simulated crashes); likewise non-default schedule strategies,
+/// buffered persistency, or a tso/pso visibility model on the threads
+/// backend (all need the simulated world).
 std::unique_ptr<executor> make_executor(const exec_policy& p);
 
 }  // namespace detect::api

@@ -1,8 +1,9 @@
 // detect::api::harness — the front door of the repo.
 //
 // One object that owns and wires the four pieces every scenario needs —
-// sim::world, core::announcement_board, hist::log, core::runtime — behind a
-// fluent builder:
+// sim::world, core::announcement_board, hist::log, core::runtime — built
+// from one api::run_policy, usually through the builder's shared run
+// setters (api/run_policy.hpp):
 //
 //   auto h = api::harness::builder()
 //                .procs(3)
@@ -30,22 +31,23 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
-#include "core/runtime.hpp"
+#include "api/run_policy.hpp"
 #include "history/checker.hpp"
-#include "sched/strategy.hpp"
 
 namespace detect::api {
 
-class harness {
+class harness : public typed_adders<harness> {
  public:
   class builder;
+
+  /// Wire a world, board, log and runtime per `policy`. Throws
+  /// std::invalid_argument when it sets both crash plans.
+  explicit harness(run_policy policy);
 
   // ---- object creation -----------------------------------------------------
 
@@ -57,24 +59,6 @@ class harness {
   /// harnesses with this.
   object_handle add_as(std::uint32_t id, const std::string& kind,
                        const object_params& params = {});
-
-  reg add_reg(value_t init = 0) { return reg(add("reg", {.init = init})); }
-  cas add_cas(value_t init = 0) { return cas(add("cas", {.init = init})); }
-  counter add_counter(value_t init = 0) {
-    return counter(add("counter", {.init = init}));
-  }
-  swap_reg add_swap(value_t init = 0) {
-    return swap_reg(add("swap", {.init = init}));
-  }
-  tas add_tas() { return tas(add("tas")); }
-  queue add_queue(std::size_t capacity = 64) {
-    return queue(add("queue", {.capacity = capacity}));
-  }
-  stack add_stack(std::size_t capacity = 64) {
-    return stack(add("stack", {.capacity = capacity}));
-  }
-  max_reg add_max_reg() { return max_reg(add("max_reg")); }
-  lock add_lock() { return lock(add("lock")); }
 
   /// Register an externally constructed object under a fresh id, pairing it
   /// with `spec` for checking. The harness takes ownership.
@@ -115,8 +99,8 @@ class harness {
 
   void set_fail_policy(core::runtime::fail_policy p) { rt_->set_fail_policy(p); }
 
-  /// Drive all scripts to completion under the builder-configured scheduler
-  /// and crash plan (fresh instances per call, so runs are reproducible).
+  /// Drive all scripts to completion under the policy's scheduler and crash
+  /// plan (fresh instances per call, so runs are reproducible).
   sim::run_report run();
 
   /// Replace the random crash plan's seed for subsequent run() calls (no-op
@@ -197,17 +181,6 @@ class harness {
   nvm::pmem_domain& domain() noexcept { return world_->domain(); }
 
  private:
-  struct run_config {
-    std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
-    sched::sched_policy sched;                // strategy the seed drives
-    std::vector<std::uint64_t> crash_steps;
-    std::optional<std::tuple<std::uint64_t, double, std::uint64_t>> crash_random;
-  };
-
-  harness(int nprocs, sim::world_config wcfg, core::runtime::fail_policy policy,
-          bool shared_cache, bool auto_persist, nvm::persist_model persist,
-          run_config rcfg);
-
   // Shared-cache and buffered-persistency setups start from a fully
   // persisted image (the objects' initialization stores are not part of the
   // measured execution).
@@ -228,6 +201,7 @@ class harness {
     std::vector<nvm::persistent_base*> cells;
   };
 
+  run_policy pol_;
   std::unique_ptr<sim::world> world_;
   std::unique_ptr<core::announcement_board> board_;
   std::unique_ptr<hist::log> log_;
@@ -236,88 +210,12 @@ class harness {
   std::map<std::uint32_t, hosted_object> hosted_;
   std::vector<std::pair<std::uint32_t, std::unique_ptr<hist::spec>>> specs_;
   std::uint32_t next_id_ = 0;
-  run_config rcfg_;
 };
 
-class harness::builder {
+/// The shared run setters (api::run_builder) over a plain run_policy.
+class harness::builder : public run_builder<harness::builder, run_policy> {
  public:
-  builder& procs(int n) {
-    nprocs_ = n;
-    return *this;
-  }
-  builder& max_steps(std::uint64_t n) {
-    wcfg_.max_steps = n;
-    return *this;
-  }
-  /// Wholesale world_config (max_steps, engine, visibility, drain points) —
-  /// how the executor layer forwards its assembled config per shard.
-  builder& world(sim::world_config w) {
-    wcfg_ = std::move(w);
-    return *this;
-  }
-  builder& fail_policy(core::runtime::fail_policy p) {
-    policy_ = p;
-    return *this;
-  }
-  /// Seeded random scheduler for run(); default is round robin.
-  builder& seed(std::uint64_t s) {
-    rcfg_.sched_seed = s;
-    return *this;
-  }
-  /// Schedule-exploration strategy the seed drives (see detect::sched).
-  /// Default: uniform_random, i.e. the historical seeded behavior.
-  builder& schedule(sched::sched_policy p) {
-    rcfg_.sched = std::move(p);
-    return *this;
-  }
-  /// Persistency-visibility model (see nvm::persist_model). Default strict.
-  builder& persist(nvm::persist_model m) {
-    persist_ = m;
-    return *this;
-  }
-  /// Store-buffer visibility model between live processes (see
-  /// wmm::visibility_model). Default sc — the historical interleaving
-  /// semantics. Orthogonal to persist(): drains order before persists.
-  builder& visibility(wmm::visibility_model m) {
-    wcfg_.visibility = m;
-    return *this;
-  }
-  /// Scripted full-drain steps (tso/pso only; see world_config::drain_points).
-  builder& drain_at(std::vector<std::uint64_t> steps) {
-    wcfg_.drain_points = std::move(steps);
-    return *this;
-  }
-  /// Crash exactly when the global step counter hits each listed value.
-  builder& crash_at(std::vector<std::uint64_t> steps) {
-    rcfg_.crash_steps = std::move(steps);
-    return *this;
-  }
-  /// Crash with probability `rate` before each step, at most `max` times.
-  builder& crash_random(std::uint64_t s, double rate, std::uint64_t max) {
-    rcfg_.crash_random = {s, rate, max};
-    return *this;
-  }
-  /// Shared-cache memory model; `auto_persist` applies the §6 syntactic
-  /// flush/fence transformation to every shared access.
-  builder& shared_cache(bool auto_persist = true) {
-    shared_cache_ = true;
-    auto_persist_ = auto_persist;
-    return *this;
-  }
-
-  harness build() {
-    return harness(nprocs_, wcfg_, policy_, shared_cache_, auto_persist_,
-                   persist_, rcfg_);
-  }
-
- private:
-  int nprocs_ = 2;
-  sim::world_config wcfg_;
-  core::runtime::fail_policy policy_ = core::runtime::fail_policy::skip;
-  bool shared_cache_ = false;
-  bool auto_persist_ = false;
-  nvm::persist_model persist_ = nvm::persist_model::strict;
-  run_config rcfg_;
+  harness build() const { return harness(pol_); }
 };
 
 /// Free-running façade for real-thread benchmarks: the emulated NVM domain

@@ -95,4 +95,34 @@ class object_registry {
 std::vector<hist::op_desc> smoke_script(op_family family, std::uint32_t object_id,
                                         int pid);
 
+/// The typed adders of the built-in core kinds, written once over
+/// `Derived::add(kind, params)`: harness, executor and serve::server derive
+/// from this with themselves as `Derived`.
+template <typename Derived>
+class typed_adders {
+ public:
+  reg add_reg(value_t init = 0) { return reg(add("reg", {.init = init})); }
+  cas add_cas(value_t init = 0) { return cas(add("cas", {.init = init})); }
+  counter add_counter(value_t init = 0) {
+    return counter(add("counter", {.init = init}));
+  }
+  swap_reg add_swap(value_t init = 0) {
+    return swap_reg(add("swap", {.init = init}));
+  }
+  tas add_tas() { return tas(add("tas")); }
+  queue add_queue(std::size_t capacity = 64) {
+    return queue(add("queue", {.capacity = capacity}));
+  }
+  stack add_stack(std::size_t capacity = 64) {
+    return stack(add("stack", {.capacity = capacity}));
+  }
+  max_reg add_max_reg() { return max_reg(add("max_reg")); }
+  lock add_lock() { return lock(add("lock")); }
+
+ private:
+  object_handle add(const std::string& kind, const object_params& params = {}) {
+    return static_cast<Derived&>(*this).add(kind, params);
+  }
+};
+
 }  // namespace detect::api

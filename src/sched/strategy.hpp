@@ -96,8 +96,8 @@ class pct_scheduler final : public sim::scheduler {
 
 /// Instantiate the scheduler a policy describes. `seed` is the scenario's
 /// sched_seed; absent, uniform_random degrades to round robin — the
-/// historical contract of harness::builder (only .seed() selects the random
-/// scheduler).
+/// historical contract of api::run_policy (only the builders' .seed()
+/// selects the random scheduler).
 std::unique_ptr<sim::scheduler> make_scheduler(
     const sched_policy& policy, std::optional<std::uint64_t> seed);
 

@@ -40,30 +40,16 @@ std::uint64_t session::completed() const {
 // ---- server -----------------------------------------------------------------
 
 server::server(serve_config cfg)
-    : cfg_(std::move(cfg)), reb_(cfg_.rebalance, cfg_.shards) {
-  api::executor::builder b;
-  b.backend(api::exec_backend::sharded)
-      .shards(cfg_.shards)
-      .procs(cfg_.procs)
-      .placement(cfg_.placement)
-      .pool_threads(cfg_.pool_threads)
-      .max_steps(cfg_.max_steps)
-      // retry is load-bearing: skip would abandon crashed ops, and an
-      // admitted op that never completes breaks the serving contract.
-      .fail_policy(core::runtime::fail_policy::retry)
-      .persist(cfg_.persist)
-      .visibility(cfg_.visibility)
-      .schedule(cfg_.sched);
-  if (cfg_.sched_seed) b.seed(*cfg_.sched_seed);
-  if (cfg_.crash_random) {
-    const auto& [s, rate, max] = *cfg_.crash_random;
-    b.crash_random(s, rate, max);
-  }
-  ex_ = b.build();
+    : cfg_(std::move(cfg)), reb_(cfg_.rebalance, cfg_.exec.shards) {
+  cfg_.exec.backend = api::exec_backend::sharded;
+  // retry is load-bearing: skip would abandon crashed ops, and an admitted
+  // op that never completes breaks the serving contract.
+  cfg_.exec.fail = core::runtime::fail_policy::retry;
+  ex_ = api::make_executor(cfg_.exec);
 
-  queues_.resize(static_cast<std::size_t>(cfg_.shards));
-  seq_.resize(static_cast<std::size_t>(cfg_.shards));
-  shard_stats_.resize(static_cast<std::size_t>(cfg_.shards));
+  queues_.resize(static_cast<std::size_t>(cfg_.exec.shards));
+  seq_.resize(static_cast<std::size_t>(cfg_.exec.shards));
+  shard_stats_.resize(static_cast<std::size_t>(cfg_.exec.shards));
   start_ = std::chrono::steady_clock::now();
 
   if (cfg_.threaded) {
@@ -84,7 +70,7 @@ server::~server() {
 session server::open_session() {
   std::lock_guard lk(mu_);
   const std::uint64_t id = next_session_++;
-  const int pid = static_cast<int>(id % static_cast<std::uint64_t>(cfg_.procs));
+  const int pid = static_cast<int>(id % static_cast<std::uint64_t>(procs()));
   session_record rec;
   rec.id = id;
   rec.pid = pid;
@@ -237,8 +223,8 @@ bool server::run_round() {
   // Reseeding per round varies the crash points deterministically; the
   // executor would otherwise rebuild the same plan (same draw positions)
   // every round.
-  if (cfg_.crash_random) {
-    ex_->reseed_crashes(std::get<0>(*cfg_.crash_random) +
+  if (cfg_.exec.crash_random) {
+    ex_->reseed_crashes(std::get<0>(*cfg_.exec.crash_random) +
                         0x9E3779B97F4A7C15ULL * (round_no + 1));
   }
   for (auto& [pid, ops] : scripts) ex_->script(pid, std::move(ops));

@@ -49,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -63,30 +62,22 @@
 namespace detect::serve {
 
 struct serve_config {
-  // ---- executor (always the sharded backend, fail_policy::retry) ----------
-  int shards = 4;
-  int procs = 8;
-  api::placement_policy placement;
-  /// Driver-pool size passed through to the executor (0 = auto, env
-  /// override; see executor::builder::pool_threads).
-  int pool_threads = 0;
-  /// Per-world step budget. Worlds count steps cumulatively across rounds,
-  /// so a serving process needs a budget sized for its lifetime, not one
-  /// run — hence the enormous default.
-  std::uint64_t max_steps = 1ULL << 62;
-  std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
-  sched::sched_policy sched;
-  nvm::persist_model persist = nvm::persist_model::strict;
-  /// Store-buffer visibility model the serving worlds run under (sc / tso /
-  /// pso; see wmm::visibility_model). Non-sc serving is a stress mode: the
-  /// scheduler interleaves buffered-store drains with op steps, so durably
-  /// linearizable objects get exercised under delayed cross-process
-  /// visibility while the serving contract (every admitted op completes)
-  /// stays intact.
-  wmm::visibility_model visibility = wmm::visibility_model::sc;
-  /// Crash injection: a fresh plan per batch round crashing with `rate`
-  /// before each step, at most `max` times per round.
-  std::optional<std::tuple<std::uint64_t, double, std::uint64_t>> crash_random;
+  // ---- executor ------------------------------------------------------------
+  /// The executor the server drives. The server always runs it on the
+  /// sharded backend under fail_policy::retry. The step budget counts steps
+  /// cumulatively across rounds, so a serving process needs one sized for
+  /// its lifetime, not one run — hence the enormous default. A non-sc
+  /// visibility model is a stress mode: the scheduler interleaves
+  /// buffered-store drains with op steps while the serving contract (every
+  /// admitted op completes) stays intact. A random crash plan is drawn
+  /// afresh each batch round.
+  api::exec_policy exec = [] {
+    api::exec_policy p;
+    p.shards = 4;
+    p.nprocs = 8;
+    p.wcfg.max_steps = 1ULL << 62;
+    return p;
+  }();
 
   // ---- ingest / batching ---------------------------------------------------
   /// Batch size trigger: a round takes at most this many ops per shard.
@@ -110,7 +101,7 @@ struct serve_config {
   bool threaded = false;
 };
 
-class server {
+class server : public api::typed_adders<server> {
  public:
   class builder;
 
@@ -129,23 +120,6 @@ class server {
   /// later by the rebalancer. Blocks while a batch round is executing.
   api::object_handle add(const std::string& kind,
                          const api::object_params& params = {});
-
-  api::reg add_reg(api::value_t init = 0) {
-    return api::reg(add("reg", {.init = init}));
-  }
-  api::cas add_cas(api::value_t init = 0) {
-    return api::cas(add("cas", {.init = init}));
-  }
-  api::counter add_counter(api::value_t init = 0) {
-    return api::counter(add("counter", {.init = init}));
-  }
-  api::queue add_queue(std::size_t capacity = 64) {
-    return api::queue(add("queue", {.capacity = capacity}));
-  }
-  api::stack add_stack(std::size_t capacity = 64) {
-    return api::stack(add("stack", {.capacity = capacity}));
-  }
-  api::max_reg add_max_reg() { return api::max_reg(add("max_reg")); }
 
   // ---- turning the crank ---------------------------------------------------
 
@@ -181,8 +155,8 @@ class server {
   /// The merged event log served so far.
   std::vector<hist::event> events() const;
 
-  int shards() const noexcept { return cfg_.shards; }
-  int procs() const noexcept { return cfg_.procs; }
+  int shards() const noexcept { return cfg_.exec.shards; }
+  int procs() const noexcept { return cfg_.exec.nprocs; }
   const serve_config& config() const noexcept { return cfg_; }
 
  private:
@@ -277,26 +251,32 @@ class server {
 
 class server::builder {
  public:
-  builder& shards(int k) { cfg_.shards = k; return *this; }
-  builder& procs(int n) { cfg_.procs = n; return *this; }
+  builder& shards(int k) { cfg_.exec.shards = k; return *this; }
+  builder& procs(int n) { cfg_.exec.nprocs = n; return *this; }
   builder& placement(api::placement_policy p) {
-    cfg_.placement = std::move(p);
+    cfg_.exec.placement = std::move(p);
     return *this;
   }
-  builder& pool_threads(int n) { cfg_.pool_threads = n; return *this; }
-  builder& max_steps(std::uint64_t n) { cfg_.max_steps = n; return *this; }
-  builder& seed(std::uint64_t s) { cfg_.sched_seed = s; return *this; }
+  builder& pool_threads(int n) { cfg_.exec.pool_threads = n; return *this; }
+  builder& max_steps(std::uint64_t n) {
+    cfg_.exec.wcfg.max_steps = n;
+    return *this;
+  }
+  builder& seed(std::uint64_t s) { cfg_.exec.sched_seed = s; return *this; }
   builder& schedule(sched::sched_policy p) {
-    cfg_.sched = std::move(p);
+    cfg_.exec.sched = std::move(p);
     return *this;
   }
-  builder& persist(nvm::persist_model m) { cfg_.persist = m; return *this; }
+  builder& persist(nvm::persist_model m) {
+    cfg_.exec.persist = m;
+    return *this;
+  }
   builder& visibility(wmm::visibility_model m) {
-    cfg_.visibility = m;
+    cfg_.exec.wcfg.visibility = m;
     return *this;
   }
   builder& crash_random(std::uint64_t s, double rate, std::uint64_t max) {
-    cfg_.crash_random = {s, rate, max};
+    cfg_.exec.crash_random = {s, rate, max};
     return *this;
   }
   builder& batch_max_ops(std::size_t n) { cfg_.batch_max_ops = n; return *this; }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <type_traits>
 
 #include "core/detectable_cas.hpp"
 #include "serve/serve.hpp"
@@ -251,17 +250,10 @@ void apply_setting(B& b, const std::string& name) {
   } else if (name == "max_steps_limit") {
     b.seed(6).max_steps(25);
   } else if (name == "fiber_engine" || name == "thread_engine") {
-    const sim::engine_kind e = name == "fiber_engine"
-                                   ? sim::engine_kind::fiber
-                                   : sim::engine_kind::thread;
-    if constexpr (std::is_same_v<B, api::harness::builder>) {
-      sim::world_config w;
-      w.engine = e;
-      b.world(w);
-    } else {
-      b.engine(e);
-    }
-    b.seed(9).crash_at({12});
+    b.engine(name == "fiber_engine" ? sim::engine_kind::fiber
+                                    : sim::engine_kind::thread)
+        .seed(9)
+        .crash_at({12});
   }
 }
 
@@ -301,6 +293,30 @@ TEST(run_policy_pin, harness_and_executor_agree_per_setting) {
     EXPECT_EQ(from_harness, from_executor);
     EXPECT_EQ(from_harness, pin.hash);
   }
+}
+
+// run() builds one crash plan, so a policy naming both would silently drop
+// crash_random. Harness construction refuses the pair, and every backend
+// that builds worlds goes through it.
+TEST(run_policy_pin, both_crash_plans_are_rejected) {
+  EXPECT_THROW(api::harness::builder()
+                   .crash_at({5})
+                   .crash_random(1, 0.1, 2)
+                   .build(),
+               std::invalid_argument);
+  for (api::exec_backend b :
+       {api::exec_backend::single, api::exec_backend::sharded}) {
+    EXPECT_THROW(api::executor::builder()
+                     .backend(b)
+                     .shards(b == api::exec_backend::sharded ? 2 : 1)
+                     .crash_at({5})
+                     .crash_random(1, 0.1, 2)
+                     .build(),
+                 std::invalid_argument)
+        << api::backend_name(b);
+  }
+  EXPECT_NO_THROW(api::harness::builder().crash_at({5}).build());
+  EXPECT_NO_THROW(api::harness::builder().crash_random(1, 0.1, 2).build());
 }
 
 // A deterministic serving soak: crashes every round and the rebalancer
