@@ -70,7 +70,9 @@ struct serve_config {
   /// visibility model is a stress mode: the scheduler interleaves
   /// buffered-store drains with op steps while the serving contract (every
   /// admitted op completes) stays intact. A random crash plan is drawn
-  /// afresh each batch round.
+  /// afresh each batch round. Only server::builder's setters write it, so
+  /// its other fields (engine, crash steps, drain points, shared cache)
+  /// keep their defaults.
   api::exec_policy exec = [] {
     api::exec_policy p;
     p.shards = 4;
@@ -105,7 +107,6 @@ class server : public api::typed_adders<server> {
  public:
   class builder;
 
-  explicit server(serve_config cfg);
   ~server();  // graceful: shutdown() if the caller has not already
 
   server(const server&) = delete;
@@ -161,6 +162,10 @@ class server : public api::typed_adders<server> {
 
  private:
   friend class session;
+
+  /// Only server::builder constructs a server: its setters are the whole
+  /// serving surface, and the server fixes backend and fail policy itself.
+  explicit server(serve_config cfg);
 
   struct pending_op {
     std::uint64_t ticket = 0;
@@ -298,7 +303,7 @@ class server::builder {
   builder& threaded(bool on = true) { cfg_.threaded = on; return *this; }
 
   std::unique_ptr<server> build() const {
-    return std::make_unique<server>(cfg_);
+    return std::unique_ptr<server>(new server(cfg_));
   }
 
  private:

@@ -180,16 +180,6 @@ TEST(harness_builder, max_steps_is_honored) {
 // produce the same log, run report and verdict, and each row's hash is
 // pinned: a setter that stops reaching the world, or reaches it differently,
 // moves it. The two engines are behavior-identical, so their rows agree.
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 1099511628211ULL;
-  }
-  return (h ^ 0xff) * 1099511628211ULL;  // field separator
-}
-
-constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
-
 std::uint64_t hash_run(const std::string& log_text,
                        const sim::run_report& r,
                        const hist::check_result& c) {

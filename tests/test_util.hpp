@@ -11,6 +11,7 @@
 //   * crash_pair_sweep / crash_fuzz: two-crash and randomized batteries.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,6 +24,18 @@
 #include "api/api.hpp"
 
 namespace detect::test {
+
+/// FNV-1a for golden pins: folds `s` into `h`, then a field separator, so
+/// that hashing a list of fields cannot run two of them together.
+inline std::uint64_t fnv(std::uint64_t h, const std::string& s) {
+  for (unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ULL;
+  }
+  return (h ^ 0xff) * 1099511628211ULL;
+}
+
+constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
 
 /// pid → script, the façade's scripting currency.
 using scripts = std::map<int, std::vector<hist::op_desc>>;
