@@ -106,6 +106,53 @@ std::atomic<engine_kind> g_default_engine{engine_kind::fiber};
 constexpr std::size_t k_fiber_stack_bytes = 256 * 1024;
 
 // ---------------------------------------------------------------------------
+// Saved execution contexts and the one switch between them.
+
+#if DETECT_FIBER_ASM
+struct context {
+  void* sp = nullptr;
+};
+void switch_context(context& from, const context& to) {
+  detect_ctx_switch(&from.sp, to.sp);
+}
+#else
+struct context {
+  ucontext_t uc{};
+};
+void switch_context(context& from, const context& to) {
+  swapcontext(&from.uc, &to.uc);
+}
+#endif
+
+// Leave `from` for `to`, whose stack spans [to_bottom, to_bottom + to_size).
+// Every switch — driver to fiber, fiber to fiber, fiber to driver — goes
+// through here so ASan always learns the target stack. `fake_save` parks
+// the leaving side's fake stack (null: the leaving fiber has finished for
+// good, free it); the resumed side restores its own with finish_switch.
+void switch_stack(context& from, [[maybe_unused]] void** fake_save,
+                  const context& to, [[maybe_unused]] const void* to_bottom,
+                  [[maybe_unused]] std::size_t to_size) {
+#if DETECT_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(fake_save, to_bottom, to_size);
+#endif
+  switch_context(from, to);
+}
+
+// The driving thread's side of one strand entry: where every fiber of a
+// handoff chain returns to, and the relay the chain consults. Lives on the
+// driver's stack until the chain hands control back.
+struct driver_side {
+  step_relay* relay = nullptr;
+  context ctx;
+  // ASan only. The stack bounds are recorded by the chain's first fiber on
+  // resumption, afresh for every entry: successive steps of one run may
+  // legally be driven from different threads (e.g. a shard worker pool).
+  void* fake = nullptr;
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+};
+
+// ---------------------------------------------------------------------------
 // fiber_strand
 
 class fiber_strand final : public strand {
@@ -122,7 +169,7 @@ class fiber_strand final : public strand {
     stopping_ = true;
     while (status_ == status::at_yield) {
       crash_me_ = true;
-      enter();
+      enter(nullptr);
     }
   }
 
@@ -130,17 +177,17 @@ class fiber_strand final : public strand {
     task_ = std::move(task);
     interrupted_ = false;
     arm();
-    enter();
+    enter(nullptr);
   }
 
-  void step() override { enter(); }
+  void step(step_relay* relay) override { enter(relay); }
 
   void deliver_crash() override {
     // Loop: a task that swallows `crashed` and touches memory again is hit
     // again at its next yield (mirrors the thread engine's sticky flag).
     while (status_ != status::done) {
       crash_me_ = true;
-      enter();
+      enter(nullptr);
     }
   }
 
@@ -149,7 +196,7 @@ class fiber_strand final : public strand {
     if (stopping_) throw nvm::crashed{};
     pending_kind_ = kind;
     status_ = status::at_yield;
-    yield_to_driver();
+    end_step();
     if (crash_me_) {
       crash_me_ = false;
       // Unwind: volatile local state of the operation is lost here.
@@ -179,56 +226,83 @@ class fiber_strand final : public strand {
     asm volatile("fnstcw %0" : "=m"(fcw));
     // The switch restores fcw from (%rsp) and mxcsr from 4(%rsp).
     *--sp = (std::uint64_t{mxcsr} << 32) | fcw;
-    fiber_sp_ = sp;
+    ctx_.sp = sp;
 #else
-    getcontext(&fiber_ctx_);
-    fiber_ctx_.uc_stack.ss_sp = stack_.get();
-    fiber_ctx_.uc_stack.ss_size = k_fiber_stack_bytes;
-    fiber_ctx_.uc_link = nullptr;
+    getcontext(&ctx_.uc);
+    ctx_.uc.uc_stack.ss_sp = stack_.get();
+    ctx_.uc.uc_stack.ss_size = k_fiber_stack_bytes;
+    ctx_.uc.uc_link = nullptr;
     auto bits = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&fiber_ctx_, reinterpret_cast<void (*)()>(&fiber_strand::ucontext_entry),
+    makecontext(&ctx_.uc,
+                reinterpret_cast<void (*)()>(&fiber_strand::ucontext_entry),
                 2, static_cast<unsigned>(bits >> 32),
                 static_cast<unsigned>(bits & 0xffffffffu));
 #endif
+    fake_ = nullptr;  // a fresh fiber has no fake stack to restore (ASan)
   }
 
-  // Driver side: run the fiber until it parks or finishes. The strand
-  // installs itself as the NVM hook only while its fiber is live, so direct
-  // accesses from the driving thread between steps stay hook-free.
-  void enter() {
+  // Driver side: run fibers, starting with this one, until one hands
+  // control back. A strand is the NVM hook only while its fiber is live, so
+  // direct accesses from the driving thread between steps stay hook-free.
+  void enter(step_relay* relay) {
     nvm::access_hook* prev = nvm::tls_hook();
+    driver_side d;
+    d.relay = relay;
+    drv_ = &d;
     nvm::tls_hook() = this;
+    switch_stack(d.ctx, &d.fake, ctx_, stack_.get(), k_fiber_stack_bytes);
 #if DETECT_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&driver_fake_, stack_.get(),
-                                   k_fiber_stack_bytes);
-#endif
-    switch_to_fiber();
-#if DETECT_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(driver_fake_, nullptr, nullptr);
+    __sanitizer_finish_switch_fiber(d.fake, nullptr, nullptr);
 #endif
     nvm::tls_hook() = prev;
   }
 
-  // Fiber side: park until the driver grants the next step. Re-reads the
-  // driver's stack bounds on every resume — successive steps of one run may
-  // legally be driven from different threads (e.g. a shard worker pool).
-  void yield_to_driver() {
+  // Fiber side, when this strand's step has ended (parked at its next
+  // access, or finished): inside world::run, ask the relay for the next
+  // step and keep running, switch straight to the picked fiber, or return
+  // to the driver; otherwise always return to the driver.
+  void end_step() {
+    driver_side& d = *drv_;
+    const bool finished = status_ == status::done;
+    fiber_strand* next = nullptr;
+    if (d.relay != nullptr) {
+      nvm::tls_hook() = nullptr;  // decide hook-free, as the driver would
+      next = static_cast<fiber_strand*>(d.relay->after_step());
+      if (next == this) {
+        nvm::tls_hook() = this;
+        return;
+      }
+    }
+    void** fake_save = finished ? nullptr : &fake_;
+    if (next != nullptr) {
+      next->drv_ = &d;
+      nvm::tls_hook() = next;
+      switch_stack(ctx_, fake_save, next->ctx_, next->stack_.get(),
+                   k_fiber_stack_bytes);
+    } else {
+      switch_stack(ctx_, fake_save, d.ctx, d.stack_bottom, d.stack_size);
+    }
+    // Resumed, by the driver or by another fiber of a chain: a finished
+    // fiber never is.
+    resumed();
+  }
+
+  // Fiber side, first thing after every switch into this fiber.
+  void resumed() {
 #if DETECT_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&fiber_fake_, driver_stack_bottom_,
-                                   driver_stack_size_);
-#endif
-    switch_to_driver();
-#if DETECT_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(fiber_fake_, &driver_stack_bottom_,
-                                    &driver_stack_size_);
+    // Only the chain's first fiber comes from the driver's stack; record
+    // its bounds for the switch back. Later ones come from fiber stacks.
+    driver_side& d = *drv_;
+    if (d.stack_bottom == nullptr) {
+      __sanitizer_finish_switch_fiber(fake_, &d.stack_bottom, &d.stack_size);
+    } else {
+      __sanitizer_finish_switch_fiber(fake_, nullptr, nullptr);
+    }
 #endif
   }
 
   static void fiber_main(fiber_strand* self) {
-#if DETECT_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(nullptr, &self->driver_stack_bottom_,
-                                    &self->driver_stack_size_);
-#endif
+    self->resumed();
     auto task = std::move(self->task_);
     self->task_ = nullptr;
     try {
@@ -240,48 +314,25 @@ class fiber_strand final : public strand {
     }
     task = nullptr;  // drop captured state while still on the fiber
     self->status_ = status::done;
-#if DETECT_ASAN_FIBERS
-    // nullptr fake_stack_save: this fiber is exiting for good — free its
-    // fake stack instead of parking it.
-    __sanitizer_start_switch_fiber(nullptr, self->driver_stack_bottom_,
-                                   self->driver_stack_size_);
-#endif
-    self->switch_to_driver();
-    // unreachable: the driver never re-enters a done fiber
+    self->end_step();
+    // unreachable: nobody resumes a finished fiber
   }
 
-#if DETECT_FIBER_ASM
-  void switch_to_fiber() { detect_ctx_switch(&driver_sp_, fiber_sp_); }
-  void switch_to_driver() { detect_ctx_switch(&fiber_sp_, driver_sp_); }
-#else
+#if !DETECT_FIBER_ASM
   static void ucontext_entry(unsigned hi, unsigned lo) {
     auto bits = (static_cast<std::uintptr_t>(hi) << 32) |
                 static_cast<std::uintptr_t>(lo);
     fiber_main(reinterpret_cast<fiber_strand*>(bits));
   }
-  void switch_to_fiber() { swapcontext(&driver_ctx_, &fiber_ctx_); }
-  void switch_to_driver() { swapcontext(&fiber_ctx_, &driver_ctx_); }
 #endif
 
   std::unique_ptr<unsigned char[]> stack_;
   std::function<void()> task_;
-  bool crash_me_ = false;  // deliver crash at next resume
-  bool stopping_ = false;  // world teardown: fail every further access
-
-#if DETECT_FIBER_ASM
-  void* fiber_sp_ = nullptr;
-  void* driver_sp_ = nullptr;
-#else
-  ucontext_t fiber_ctx_{};
-  ucontext_t driver_ctx_{};
-#endif
-
-#if DETECT_ASAN_FIBERS
-  void* driver_fake_ = nullptr;
-  void* fiber_fake_ = nullptr;
-  const void* driver_stack_bottom_ = nullptr;
-  std::size_t driver_stack_size_ = 0;
-#endif
+  context ctx_;              // this fiber, while it is not running
+  driver_side* drv_ = nullptr;  // the current chain's driver side
+  bool crash_me_ = false;    // deliver crash at next resume
+  bool stopping_ = false;    // world teardown: fail every further access
+  void* fake_ = nullptr;     // ASan: this fiber's parked fake stack
 };
 
 // ---------------------------------------------------------------------------
@@ -311,7 +362,7 @@ class thread_strand final : public strand {
     wait_settled(lock);
   }
 
-  void step() override {
+  void step(step_relay*) override {
     std::unique_lock lock(mu_);
     ts_ = tstate::stepping;
     cv_.notify_all();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace detect::sim {
 
@@ -65,21 +66,30 @@ bool world::busy() {
   return !ready_.empty();
 }
 
-void world::step_ready(int pid) {
+strand& world::begin_step(int pid) {
   ++step_no_;
-  strand& s = *procs_[static_cast<std::size_t>(pid)];
+  running_ = pid;
   // Point the domain at the stepping process's store buffer for exactly the
   // duration of its access (relaxed visibility only; the strand handshake
   // serializes, so the thread engine sees the pointer too).
   if (!bufs_.empty()) {
     domain_.set_active_store_buffer(&bufs_[static_cast<std::size_t>(pid)]);
   }
-  s.step();
+  return *procs_[static_cast<std::size_t>(pid)];
+}
+
+void world::finish_step() {
   if (!bufs_.empty()) domain_.set_active_store_buffer(nullptr);
+  strand& s = *procs_[static_cast<std::size_t>(running_)];
   if (s.st() == strand::status::done) {
-    erase_sorted(ready_, pid);
+    erase_sorted(ready_, running_);
     if (std::exception_ptr e = s.reset_done()) std::rethrow_exception(e);
   }
+}
+
+void world::step_ready(int pid) {
+  begin_step(pid).step(nullptr);
+  finish_step();
 }
 
 bool world::needs_drained_buffer(nvm::access a) noexcept {
@@ -170,26 +180,11 @@ void world::crash() {
   epoch_.flush();
 }
 
-run_report world::run(scheduler& sched, crash_plan* crashes,
-                      const std::function<void()>& on_crash_done) {
-  run_report rep;
-  active_sched_desc_ = sched.describe();
+world::action world::decide() {
   const int n = nprocs();
   for (;;) {
-    settle();
-    if (ready_.empty()) break;
-    if (step_no_ >= cfg_.max_steps) {
-      rep.hit_step_limit = true;
-      rep.limit_note = "step limit " + std::to_string(cfg_.max_steps) +
-                       " hit under scheduler " + sched.describe();
-      if (cfg_.visibility != wmm::visibility_model::sc) {
-        rep.limit_note += ", visibility " +
-                          std::string(wmm::visibility_name(cfg_.visibility)) +
-                          ", " + std::to_string(pending_stores()) +
-                          " pending stores";
-      }
-      break;
-    }
+    if (ready_.empty()) return {action::kind::idle};
+    if (step_no_ >= cfg_.max_steps) return {action::kind::limit};
     // Scenario-scripted drain point: every buffer retires completely as one
     // step. Checked before the crash plan so a same-step crash sees the
     // drained (persistable) state.
@@ -209,16 +204,11 @@ run_report world::run(scheduler& sched, crash_plan* crashes,
         continue;
       }
     }
-    if (crashes != nullptr && crashes->should_crash(step_no_)) {
-      crash();
-      ++rep.crashes;
-      if (on_crash_done) on_crash_done();
-      continue;
+    if (crashes_ != nullptr && crashes_->should_crash(step_no_)) {
+      return {action::kind::crash};
     }
     if (bufs_.empty()) {  // sc: the historical loop, byte-identical
-      int pid = sched.pick(ready_, step_no_);
-      step_ready(pid);
-      continue;
+      return {action::kind::step, sched_->pick(ready_, step_no_)};
     }
     // Relaxed visibility: the scheduler picks among real steps and drain
     // pseudo-pids `n*(1+slot)+pid`, one per drainable slot (tso: the FIFO
@@ -243,13 +233,72 @@ run_report world::run(scheduler& sched, crash_plan* crashes,
       }
       if (!any) break;
     }
-    int pick = sched.pick(cand_, step_no_);
-    if (pick < n) {
-      step_ready(pick);
+    int pick = sched_->pick(cand_, step_no_);
+    if (pick < n) return {action::kind::step, pick};
+    drain_one(pick % n, static_cast<std::size_t>(pick / n) - 1);
+  }
+}
+
+strand* world::after_step() noexcept {
+  // On a fiber, nothing may unwind past here: a task's exception or one
+  // from pick/should_crash waits in chain_error_ for the driver.
+  try {
+    finish_step();
+    chain_end_ = decide();
+    if (chain_end_.k == action::kind::step) return &begin_step(chain_end_.pid);
+  } catch (...) {
+    chain_error_ = std::current_exception();
+  }
+  return nullptr;
+}
+
+world::action world::run_steps(int pid) {
+  // The fiber engine hands steps from fiber to fiber and returns once
+  // after_step() says the driver is needed; the thread engine returns after
+  // every step, and the driver takes the same decision itself.
+  step_relay* relay = engine_ == engine_kind::fiber ? this : nullptr;
+  strand* s = &begin_step(pid);
+  do {
+    s->step(relay);
+  } while (relay == nullptr && (s = after_step()) != nullptr);
+  if (chain_error_) {
+    std::rethrow_exception(std::exchange(chain_error_, nullptr));
+  }
+  return chain_end_;
+}
+
+run_report world::run(scheduler& sched, crash_plan* crashes,
+                      const std::function<void()>& on_crash_done) {
+  run_report rep;
+  active_sched_desc_ = sched.describe();
+  sched_ = &sched;
+  crashes_ = crashes;
+  const int n = nprocs();
+  settle();  // tasks submitted since the last settle point
+  for (action a = decide(); a.k != action::kind::idle;) {
+    if (a.k == action::kind::step) {
+      a = run_steps(a.pid);
+    } else if (a.k == action::kind::crash) {
+      crash();
+      ++rep.crashes;
+      if (on_crash_done) on_crash_done();
+      settle();  // recovery tasks that finished before their first access
+      a = decide();
     } else {
-      drain_one(pick % n, static_cast<std::size_t>(pick / n) - 1);
+      rep.hit_step_limit = true;
+      rep.limit_note = "step limit " + std::to_string(cfg_.max_steps) +
+                       " hit under scheduler " + sched.describe();
+      if (cfg_.visibility != wmm::visibility_model::sc) {
+        rep.limit_note += ", visibility " +
+                          std::string(wmm::visibility_name(cfg_.visibility)) +
+                          ", " + std::to_string(pending_stores()) +
+                          " pending stores";
+      }
+      break;
     }
   }
+  sched_ = nullptr;
+  crashes_ = nullptr;
   // Quiescence: with no runnable process left, remaining buffered stores
   // can no longer be observed out of order — retire them (counted drain
   // steps) so the post-run NVM state matches what sc would have reached.

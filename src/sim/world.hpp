@@ -13,15 +13,21 @@
 //     every crash (the client runtime uses it to resume per Ann_p).
 //
 // Processes execute on pluggable strand engines (see sim/strand.hpp): the
-// default `fiber` engine context-switches in-thread (~50 ns/step), the
-// `thread` engine keeps the original one-OS-thread-per-process handshake as
-// the reference the determinism pins compare against. The world itself is
-// single-threaded either way: every public call returns with all strands
-// settled, and the run loop maintains the sorted runnable set incrementally
-// instead of re-scanning every process per step.
+// default `fiber` engine hands each step of a run straight from one fiber to
+// the next (one in-thread context switch: 23 ns of loop cost per step, down
+// from 86 ns through the driver, for 8 control-only processes on a 4-vCPU
+// VM; docs/performance.md has the breakdown), the `thread`
+// engine keeps the original one-OS-thread-per-process handshake as the
+// reference the determinism pins compare against. Both take every run-loop
+// decision in one place, `decide()`. The world itself is single-threaded
+// either way: every public call returns with all strands settled, and the
+// run loop maintains the sorted runnable set incrementally instead of
+// re-scanning every process per step — strands finish outside a step only
+// in submit() and crash(), and only those are followed by a scan.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -101,10 +107,10 @@ struct run_report {
   std::uint64_t max_pending_stores = 0;
 };
 
-class world {
+class world final : private step_relay {
  public:
   explicit world(int nprocs, world_config cfg = {});
-  ~world();
+  ~world();  // unwinds tasks still parked (e.g. after a step limit)
 
   world(const world&) = delete;
   world& operator=(const world&) = delete;
@@ -163,10 +169,32 @@ class world {
   std::string describe_schedule() const;
 
  private:
+  // What the run loop does next. `step` names a real pid; drains are not
+  // actions, decide() performs them itself since they run no strand.
+  struct action {
+    enum class kind : std::uint8_t { step, crash, limit, idle };
+    kind k = kind::idle;
+    int pid = -1;
+  };
+
   // Absorb finished tasks (done → idle), rethrowing any task exception.
   void settle();
   // Grant one step to a pid known to be in ready_; updates ready_.
   void step_ready(int pid);
+  // The one run-loop decision, taken by the driver and, under the fiber
+  // engine, by the stepping fiber itself (after_step): step limit, drain
+  // points, the crash plan, then the scheduler's pick among real pids and
+  // drain pseudo-pids. Valid only inside run().
+  action decide();
+  // A step's two halves: count it and point the domain at the process's
+  // store buffer; then clear the buffer and absorb the task if it finished,
+  // rethrowing its exception.
+  strand& begin_step(int pid);
+  void finish_step();
+  // step_relay: finish the running step, decide, begin the next step.
+  strand* after_step() noexcept override;
+  // Run steps from `pid` on until a decision other than `step`; returns it.
+  action run_steps(int pid);
   // Relaxed visibility only: total stores currently buffered, and one
   // entry's drain as a counted step.
   std::size_t pending_stores() const noexcept;
@@ -182,6 +210,15 @@ class world {
   nvm::pcell<std::uint64_t> epoch_{1, domain_};
 
   std::vector<std::unique_ptr<strand>> procs_;
+  /// The process whose step is in progress (begin_step .. finish_step).
+  int running_ = -1;
+  /// run()'s scheduler and crash plan, read by decide().
+  scheduler* sched_ = nullptr;
+  crash_plan* crashes_ = nullptr;
+  /// How a handoff chain ended: the decision that was not a step, or the
+  /// exception a task or a decision raised, both for the driver to act on.
+  action chain_end_;
+  std::exception_ptr chain_error_;
   /// Pids currently at a yield, kept sorted; maintained incrementally on
   /// submit/step/crash so the run loop never re-scans all processes.
   std::vector<int> ready_;

@@ -17,6 +17,7 @@
 #include "fuzz/scenario_gen.hpp"
 #include "history/log.hpp"
 #include "sim/strand.hpp"
+#include "wmm/visibility.hpp"
 
 namespace {
 
@@ -91,6 +92,62 @@ TEST(EngineABTest, FiberAndThreadReplaysIdenticalOn500SeedCorpus) {
     ASSERT_EQ(fib.report.lost_persistence, thr.report.lost_persistence)
         << "seed " << seed;
   }
+}
+
+// The same A/B pin under relaxed visibility: tso/pso scenarios schedule
+// store-buffer drains as pseudo-pid steps and scripted drain points, which
+// the sc corpus above never reaches. Every run_report field must match,
+// the drain counters included.
+TEST(EngineABTest, FiberAndThreadReplaysIdenticalUnderRelaxedVisibility) {
+  engine_guard guard;
+  fuzz::gen_config cfg;
+  cfg.max_procs = 3;
+  cfg.max_ops = 6;
+  cfg.max_shards = 3;
+  cfg.max_objects = 3;
+  cfg.object_kind_pool = {"reg", "cas", "counter", "queue", "stack"};
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  cfg.visibility_pool = {"sc", "tso", "pso"};
+  const std::vector<std::string> kinds = {"reg",   "cas",     "counter",
+                                          "queue", "stack",   "swap",
+                                          "tas",   "max_reg", "lock"};
+  int relaxed = 0;
+  int with_drain_points = 0;
+  std::uint64_t drains = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    api::scripted_scenario s =
+        fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
+    if (s.visibility != wmm::visibility_model::sc) ++relaxed;
+    if (!s.drain_steps.empty()) ++with_drain_points;
+
+    sim::set_default_engine(sim::engine_kind::fiber);
+    api::scripted_outcome fib = api::replay(s);
+    sim::set_default_engine(sim::engine_kind::thread);
+    api::scripted_outcome thr = api::replay(s);
+
+    ASSERT_EQ(fib.log_text, thr.log_text) << "seed " << seed;
+    expect_same_events(fib.events, thr.events, seed);
+    ASSERT_EQ(fib.check.ok, thr.check.ok) << "seed " << seed;
+    ASSERT_EQ(fib.check.message, thr.check.message) << "seed " << seed;
+    const sim::run_report& a = fib.report;
+    const sim::run_report& b = thr.report;
+    ASSERT_EQ(a.steps, b.steps) << "seed " << seed;
+    ASSERT_EQ(a.crashes, b.crashes) << "seed " << seed;
+    ASSERT_EQ(a.hit_step_limit, b.hit_step_limit) << "seed " << seed;
+    ASSERT_EQ(a.limit_note, b.limit_note) << "seed " << seed;
+    ASSERT_EQ(a.lost_persistence, b.lost_persistence) << "seed " << seed;
+    ASSERT_EQ(a.nvm_cells, b.nvm_cells) << "seed " << seed;
+    ASSERT_EQ(a.nvm_bytes, b.nvm_bytes) << "seed " << seed;
+    ASSERT_EQ(a.drain_steps, b.drain_steps) << "seed " << seed;
+    ASSERT_EQ(a.max_pending_stores, b.max_pending_stores) << "seed " << seed;
+    drains += a.drain_steps;
+  }
+  // The corpus must actually reach what it pins (331 relaxed scenarios,
+  // 254 with drain points and 1,758 drain steps in all).
+  EXPECT_GT(relaxed, 250);
+  EXPECT_GT(with_drain_points, 200);
+  EXPECT_GT(drains, 1000u);
 }
 
 // world_config.engine overrides the process-global default; absent, the

@@ -1,8 +1,12 @@
 // Tests for the deterministic simulator: step-token serialization, crash
-// delivery/unwinding, scheduler policies, and the exhaustive explorer.
+// delivery/unwinding, scheduler policies, direct fiber-to-fiber handoff, and
+// the exhaustive explorer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nvm/pcell.hpp"
 #include "sim/explorer.hpp"
@@ -235,6 +239,258 @@ TEST(crash_plan, at_steps_fires_once_each) {
   EXPECT_FALSE(plan.should_crash(2));
   EXPECT_TRUE(plan.should_crash(5));
   EXPECT_FALSE(plan.should_crash(5));
+}
+
+// ---- direct handoff ---------------------------------------------------------
+//
+// Inside run() the fiber engine hands each step straight from one fiber to
+// the next and returns to the driver only when it must; the thread engine
+// returns after every step. Each edge case below runs on both engines and
+// must come out the same.
+
+constexpr sim::engine_kind k_engines[] = {sim::engine_kind::fiber,
+                                          sim::engine_kind::thread};
+
+sim::world_config on_engine(sim::engine_kind e) {
+  sim::world_config cfg;
+  cfg.engine = e;
+  return cfg;
+}
+
+/// Counts the task frames destroyed, by return or by unwinding.
+struct frame_guard {
+  int& gone;
+  ~frame_guard() { ++gone; }
+};
+
+/// Round robin by step number; throws std::out_of_range at step `at`.
+class throwing_pick final : public sim::scheduler {
+ public:
+  explicit throwing_pick(std::uint64_t at) : at_(at) {}
+  int pick(const std::vector<int>& runnable, std::uint64_t step_no) override {
+    if (step_no == at_) {
+      throw std::out_of_range("pick at step " + std::to_string(step_no));
+    }
+    return runnable[step_no % runnable.size()];
+  }
+
+ private:
+  std::uint64_t at_;
+};
+
+/// Throws std::out_of_range from should_crash at step `at`.
+class throwing_plan final : public sim::crash_plan {
+ public:
+  explicit throwing_plan(std::uint64_t at) : at_(at) {}
+  bool should_crash(std::uint64_t step_no) override {
+    if (step_no == at_) {
+      throw std::out_of_range("plan at step " + std::to_string(step_no));
+    }
+    return false;
+  }
+
+ private:
+  std::uint64_t at_;
+};
+
+/// crash_at_steps that also records every step number it is asked about.
+class recording_plan final : public sim::crash_plan {
+ public:
+  explicit recording_plan(std::vector<std::uint64_t> at)
+      : inner_(std::move(at)) {}
+  bool should_crash(std::uint64_t step_no) override {
+    asked.push_back(step_no);
+    return inner_.should_crash(step_no);
+  }
+  std::vector<std::uint64_t> asked;
+
+ private:
+  sim::crash_at_steps inner_;
+};
+
+// A scheduler's or crash plan's exception leaves run() on the driving thread
+// with its own type. It must not unwind the parked tasks as if they had
+// thrown: they stay parked until the world destructs, and a fresh world on
+// the same thread then runs normally.
+TEST(handoff, decision_exception_leaves_run_without_unwinding_tasks) {
+  for (sim::engine_kind engine : k_engines) {
+    for (bool from_plan : {false, true}) {
+      SCOPED_TRACE(std::string(sim::engine_name(engine)) +
+                   (from_plan ? " crash plan" : " scheduler"));
+      int gone = 0;
+      int saw_exception = 0;
+      {
+        sim::world w(3, on_engine(engine));
+        nvm::pcell<int> c(0, w.domain());
+        for (int p = 0; p < 3; ++p) {
+          w.submit(p, [&] {
+            frame_guard g{gone};
+            try {
+              for (int i = 0; i < 10; ++i) c.store(i);
+            } catch (const std::out_of_range&) {
+              ++saw_exception;
+              throw;
+            }
+          });
+        }
+        throwing_pick pick(from_plan ? 1000 : 7);
+        throwing_plan plan(from_plan ? 7 : 1000);
+        EXPECT_THROW(w.run(pick, &plan), std::out_of_range);
+        EXPECT_EQ(saw_exception, 0);
+        EXPECT_EQ(gone, 0) << "every task is still parked";
+        EXPECT_EQ(w.steps_taken(), 7u);
+        EXPECT_EQ(w.runnable(), (std::vector<int>{0, 1, 2}));
+      }
+      EXPECT_EQ(gone, 3) << "the world unwound its parked tasks";
+
+      sim::world again(2, on_engine(engine));
+      nvm::pcell<int> d(0, again.domain());
+      for (int p = 0; p < 2; ++p) {
+        again.submit(p, [&] {
+          for (int i = 0; i < 5; ++i) d.store(d.load() + 1);
+        });
+      }
+      sim::round_robin_scheduler rr;
+      sim::run_report rep = again.run(rr);
+      EXPECT_EQ(rep.steps, 20u);
+      EXPECT_FALSE(again.busy());
+    }
+  }
+}
+
+// A task that throws in a process the driver never entered directly (under
+// the fiber engine it is reached by handoff) still fails run() with its own
+// exception, after the same number of steps.
+TEST(handoff, task_exception_mid_chain_propagates) {
+  std::vector<std::uint64_t> steps;
+  for (sim::engine_kind engine : k_engines) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    sim::world w(3, on_engine(engine));
+    nvm::pcell<int> c(0, w.domain());
+    w.submit(0, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
+    w.submit(1, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
+    w.submit(2, [&] {
+      c.load();
+      c.load();
+      throw std::runtime_error("p2 failed");
+    });
+    sim::round_robin_scheduler rr;
+    try {
+      w.run(rr);
+      ADD_FAILURE() << "run() returned";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "p2 failed");
+    }
+    steps.push_back(w.steps_taken());
+    EXPECT_EQ(w.runnable(), (std::vector<int>{0, 1}));
+  }
+  EXPECT_EQ(steps[0], steps[1]);
+  EXPECT_EQ(steps[0], 6u) << "p2's second load is step 6 under round robin";
+}
+
+// The step limit reached mid-chain yields the same report on both engines,
+// and the strands left parked unwind when the world is destroyed.
+TEST(handoff, step_limit_mid_chain_matches_and_unwinds) {
+  std::vector<std::string> notes;
+  for (sim::engine_kind engine : k_engines) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    int gone = 0;
+    {
+      sim::world_config cfg = on_engine(engine);
+      cfg.max_steps = 37;
+      sim::world w(3, cfg);
+      nvm::pcell<int> c(0, w.domain());
+      for (int p = 0; p < 3; ++p) {
+        w.submit(p, [&] {
+          frame_guard g{gone};
+          for (;;) c.load();  // livelock on purpose
+        });
+      }
+      sim::random_scheduler rs(5);
+      sim::run_report rep = w.run(rs);
+      EXPECT_TRUE(rep.hit_step_limit);
+      EXPECT_EQ(rep.steps, 37u);
+      notes.push_back(rep.limit_note);
+      EXPECT_EQ(gone, 0);
+    }
+    EXPECT_EQ(gone, 3);
+  }
+  EXPECT_EQ(notes[0], notes[1]);
+  EXPECT_EQ(notes[0],
+            "step limit 37 hit under scheduler uniform_random(seed=5)");
+}
+
+// A crash plan firing mid-chain gives the same log on both engines, and the
+// plan is asked exactly once per decision: once after every step and once
+// after every crash — never twice for one due crash.
+TEST(handoff, crash_mid_chain_gives_the_same_log) {
+  std::vector<std::vector<std::string>> logs;
+  for (sim::engine_kind engine : k_engines) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    std::vector<std::string> log;
+    sim::world w(3, on_engine(engine));
+    nvm::pcell<int> c(0, w.domain());
+    auto task = [&](int pid, int ops) {
+      return [&log, &c, pid, ops] {
+        for (int i = 0; i < ops; ++i) {
+          c.store(pid * 100 + i);
+          log.push_back("p" + std::to_string(pid) + "." + std::to_string(i));
+        }
+      };
+    };
+    for (int p = 0; p < 3; ++p) w.submit(p, task(p, 5));
+    recording_plan plan({5, 9});
+    sim::random_scheduler rs(3);
+    sim::run_report rep = w.run(rs, &plan, [&] {
+      log.push_back("crash at " + std::to_string(w.steps_taken()));
+      for (int p = 0; p < 3; ++p) w.submit(p, task(p, 2));
+    });
+    EXPECT_EQ(rep.crashes, 2u);
+    EXPECT_EQ(rep.steps, 5u + 4u + 6u);
+    EXPECT_EQ(plan.asked.size(), rep.steps + rep.crashes);
+    log.push_back("final " + std::to_string(c.peek()));
+    logs.push_back(log);
+  }
+  EXPECT_EQ(logs[0], logs[1]);
+}
+
+// world::step() after a run() is the low-level single step again: it
+// returns to its caller after exactly one access.
+TEST(handoff, step_after_run_returns_after_one_access) {
+  for (sim::engine_kind engine : k_engines) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    sim::world w(2, on_engine(engine));
+    nvm::pcell<int> a(0, w.domain());
+    nvm::pcell<int> b(0, w.domain());
+    for (int p = 0; p < 2; ++p) {
+      w.submit(p, [&] {
+        for (int i = 0; i < 3; ++i) a.store(a.load() + 1);
+      });
+    }
+    sim::round_robin_scheduler rr;
+    EXPECT_EQ(w.run(rr).steps, 12u);
+    const int after_run = a.peek();
+    w.submit(0, [&] {
+      a.store(10);
+      a.store(11);
+    });
+    w.submit(1, [&] {
+      b.store(20);
+      b.store(21);
+    });
+    w.step(1);
+    EXPECT_EQ(w.steps_taken(), 13u);
+    EXPECT_EQ(b.peek(), 20);
+    EXPECT_EQ(a.peek(), after_run);
+    w.step(0);
+    EXPECT_EQ(w.steps_taken(), 14u);
+    EXPECT_EQ(a.peek(), 10);
+    EXPECT_EQ(b.peek(), 20);
+    EXPECT_EQ(w.runnable(), (std::vector<int>{0, 1}));
+    w.step(0);
+    EXPECT_EQ(a.peek(), 11);
+    EXPECT_EQ(w.runnable(), (std::vector<int>{1}));
+  }
 }
 
 // ---- explorer ---------------------------------------------------------------
