@@ -311,7 +311,7 @@ TEST(run_policy_pin, both_crash_plans_are_rejected) {
 
 // A deterministic serving soak: crashes every round and the rebalancer
 // moving a hot cluster. The server builds its executor from the same
-// policy; its log, stats and verdict are pinned.
+// policy; its log, stats, verdict and callback order are pinned.
 TEST(run_policy_pin, server_pump_soak) {
   auto srv = serve::server::builder()
                  .shards(2)
@@ -330,13 +330,23 @@ TEST(run_policy_pin, server_pump_soak) {
   for (int i = 0; i < 8; ++i) objs.push_back(srv->add_counter());
   std::vector<serve::session> sessions;
   for (int i = 0; i < 4; ++i) sessions.push_back(srv->open_session());
+  // The order completion callbacks fire in, across shards and through
+  // crash recoveries, is part of the serving contract too.
+  std::string fired;
+  std::uint64_t callbacks = 0;
+  const auto record = [&](const serve::completion& c) {
+    ++callbacks;
+    fired += std::to_string(c.ticket) + ':' + std::to_string(c.session) +
+             ':' + std::to_string(c.object) + ':' + std::to_string(c.value) +
+             ';';
+  };
   for (int wave = 0; wave < 8; ++wave) {
     for (int s = 0; s < 4; ++s) {
       for (int i = 0; i < 6; ++i) {
         // Most traffic lands on the even (shard-0) objects.
         const int id = (i % 3 == 0 ? 2 * (s + wave) + 1 : 2 * (s + i)) % 8;
         ASSERT_EQ(sessions[static_cast<std::size_t>(s)].submit(
-                      objs[static_cast<std::size_t>(id)].add(1)),
+                      objs[static_cast<std::size_t>(id)].add(1), record),
                   serve::submit_status::admitted);
       }
     }
@@ -352,6 +362,8 @@ TEST(run_policy_pin, server_pump_soak) {
   h = fnv(h, serve::stats_json(st));
   h = fnv(h, c.ok ? "ok" : "rejected");
   EXPECT_EQ(h, 8681697165048369594ULL);
+  EXPECT_EQ(callbacks, st.admitted);
+  EXPECT_EQ(fnv(k_fnv_basis, fired), 5523497507384660344ULL);
 }
 
 // ---- arena (free-running façade) --------------------------------------------
