@@ -10,7 +10,9 @@
 //             program order, ≥1 crash survived, ≥1 rebalance move, and a
 //             clean per-object durable-linearizability certificate — and
 //             exits nonzero on any violation, so the artifact can only ever
-//             contain rows from a correct run.
+//             contain rows from a correct run. Its row records the timed
+//             serving loop as `seconds` and the certificate's own wall time
+//             as `check_seconds`.
 //   overload  2× offered load against a small queue high-water mark: queue
 //             depth must stay bounded, `overloaded` rejects must be issued,
 //             and every *admitted* op must still complete (with its p99).
@@ -31,6 +33,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -57,14 +60,19 @@ void expect(bool ok, const std::string& what) {
   std::fprintf(stderr, "bench_serve: INVARIANT VIOLATED: %s\n", what.c_str());
 }
 
-/// One artifact row: the scenario name and wall time wrapped around the
-/// serve::stats snapshot (serialized by the library, so field names cannot
-/// drift from serve::stats_json).
+/// One artifact row: the scenario name and wall time (plus, for the soak,
+/// the certificate's own wall time) wrapped around the serve::stats snapshot
+/// (serialized by the library, so field names cannot drift from
+/// serve::stats_json).
 std::string row_json(const std::string& scenario, double seconds,
-                     const serve::stats& st) {
-  return "    {\"scenario\": \"" + scenario +
-         "\", \"seconds\": " + bench::fmt(seconds, 4) +
-         ", \"stats\": " + serve::stats_json(st) + "}";
+                     const serve::stats& st,
+                     std::optional<double> check_seconds = std::nullopt) {
+  std::string row = "    {\"scenario\": \"" + scenario +
+                    "\", \"seconds\": " + bench::fmt(seconds, 4);
+  if (check_seconds) {
+    row += ", \"check_seconds\": " + bench::fmt(*check_seconds, 4);
+  }
+  return row + ", \"stats\": " + serve::stats_json(st) + "}";
 }
 
 void print_row(const char* scenario, double seconds, const serve::stats& st) {
@@ -166,14 +174,21 @@ std::string run_soak(const cli_cfg& cli) {
   expect(st.inflight == 0, "soak: drained to zero inflight");
   expect(st.crashes >= 1, "soak: at least one injected crash survived");
   expect(!st.moves.empty(), "soak: the skew triggered a rebalance move");
+  const auto check_start = std::chrono::steady_clock::now();
   hist::check_result cr = srv->check();
+  const double check_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    check_start)
+          .count();
   expect(cr.ok,
          "soak: durable linearizability certificate (" + cr.message + ")");
   expect(cr.objects == static_cast<std::size_t>(k_objects),
          "soak: certificate covers every object");
 
   print_row("soak", seconds, st);
-  return row_json("soak", seconds, st);
+  std::printf("%-9s certificate over %zu objects  %.3f s\n", "", cr.objects,
+              check_seconds);
+  return row_json("soak", seconds, st, check_seconds);
 }
 
 // ---------------------------------------------------------------------------

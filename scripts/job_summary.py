@@ -77,8 +77,8 @@ def serve_table(data):
            f"{cfg.get('ops_per_session', '?')} ops")
     yield ""
     yield ("| scenario | admitted | completed | rejected | crashes | moves "
-           "| load ratio | p50 | p99 | seconds |")
-    yield "|---|---|---|---|---|---|---|---|---|---|"
+           "| load ratio | p50 | p99 | seconds | ops/s | check seconds |")
+    yield "|---|---|---|---|---|---|---|---|---|---|---|---|"
     lost = []
     for row in data["results"]:
         st = row["stats"]
@@ -92,12 +92,18 @@ def serve_table(data):
             lost.append(f"{row['scenario']}: {st['admitted']} admitted but "
                         f"{completed} completed")
         unit = st.get("latency_unit", "")
+        # Serving speed and the certificate's cost, apart: only the soak
+        # row times its certificate, and older artifacts time none.
+        seconds = row["seconds"]
+        rate = f"{completed / seconds:,.0f}" if seconds > 0 else "—"
+        check = row.get("check_seconds")
+        check_cell = f"{check:.3f}" if check is not None else "—"
         yield (f"| {row['scenario']} | {st['admitted']} | {cell} "
                f"| {st.get('rejected', 0)} | {st['crashes']} "
                f"| {len(st.get('moves', []))} "
                f"| {st.get('load_ratio_window', 0):.2f} "
                f"| {st['p50']} {unit} | {st['p99']} {unit} "
-               f"| {row['seconds']:.3f} |")
+               f"| {seconds:.3f} | {rate} | {check_cell} |")
     if lost:
         yield ""
         yield "**Lost completions:**"

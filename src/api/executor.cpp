@@ -10,8 +10,10 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 namespace detect::api {
 
@@ -57,6 +59,37 @@ void check_pid(int pid, int nprocs) {
   throw std::invalid_argument(
       std::string("executor: migration needs exec_backend::sharded; the ") +
       backend_name(b) + " backend runs exactly one world");
+}
+
+/// Validate an events_since() cursor against the logs' current lengths
+/// `ends` (one per shard); an empty cursor starts every log at 0.
+void claim_cursor(std::vector<std::size_t>& cursor,
+                  std::span<const std::size_t> ends) {
+  if (cursor.empty()) cursor.assign(ends.size(), 0);
+  if (cursor.size() != ends.size()) {
+    throw std::invalid_argument(
+        "executor: events_since cursor holds " +
+        std::to_string(cursor.size()) + " position(s) for " +
+        std::to_string(ends.size()) + " log(s)");
+  }
+  for (std::size_t k = 0; k < ends.size(); ++k) {
+    if (cursor[k] > ends[k]) {
+      throw std::invalid_argument(
+          "executor: events_since cursor position " +
+          std::to_string(cursor[k]) + " is past the end of log " +
+          std::to_string(k) + " (" + std::to_string(ends[k]) + " events)");
+    }
+  }
+}
+
+/// events_since() over a backend with one log.
+std::vector<hist::event> one_log_since(const hist::log& lg,
+                                       std::vector<std::size_t>& cursor) {
+  const std::size_t end = lg.size();
+  claim_cursor(cursor, {&end, 1});
+  std::vector<hist::event> out = lg.snapshot(cursor[0]);
+  cursor[0] = end;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +141,10 @@ class single_executor final : public executor {
     no_migration(exec_backend::single);
   }
 
-  std::vector<hist::event> events() const override { return h_.events(); }
+  std::vector<hist::event> events_since(
+      std::vector<std::size_t>& cursor) const override {
+    return one_log_since(h_.log(), cursor);
+  }
   hist::check_result check(const hist::check_options& opt) const override {
     return h_.check_per_object(opt);
   }
@@ -331,7 +367,7 @@ class sharded_executor final : public executor {
     // crashes it lived through) so check() still sees one contiguous
     // per-object history across the move.
     harness& src = *shards_[static_cast<std::size_t>(rec.shard)];
-    append_object_slice(rec.prefix, src.events(), rec.arrival, object_id);
+    extend(src.log(), {{object_id, rec.arrival, &rec.prefix}});
 
     // The transplant proper: NVM image out of the source world, fresh
     // same-layout object in the target world, image back in.
@@ -366,37 +402,58 @@ class sharded_executor final : public executor {
     return static_cast<int>(moves.size());
   }
 
-  std::vector<hist::event> events() const override {
-    std::vector<std::vector<hist::event>> logs;
-    logs.reserve(shards_.size());
-    for (const auto& sh : shards_) logs.push_back(sh->events());
+  std::vector<hist::event> events_since(
+      std::vector<std::size_t>& cursor) const override {
+    const std::size_t n = shards_.size();
+    std::vector<std::size_t> ends(n);
+    for (std::size_t k = 0; k < n; ++k) ends[k] = shards_[k]->log().size();
+    claim_cursor(cursor, ends);
+    // Only the events past the cursor are copied out of the shard logs.
+    std::vector<std::vector<hist::event>> fresh(n);
+    std::size_t total = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      fresh[k] = shards_[k]->log().snapshot(cursor[k]);
+      total += fresh[k].size();
+    }
 
     // Stable global order: run, then shard-local index, then shard id. Each
     // shard's log stays a subsequence of the merge, and a later run's
     // events never precede an earlier run's (runs are real-time ordered).
-    std::vector<std::vector<std::size_t>> rounds = round_marks_;
-    std::vector<std::size_t> tail(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k) tail[k] = logs[k].size();
-    rounds.push_back(std::move(tail));  // anything past the last run mark
-
+    // Runs that lie wholly behind the cursor are skipped; within a run the
+    // rows count from the run's start, so a chunk lists its events exactly
+    // where the whole merge would.
+    const auto behind = [&](const std::vector<std::size_t>& upto) {
+      for (std::size_t k = 0; k < n; ++k) {
+        if (upto[k] > cursor[k]) return false;
+      }
+      return true;
+    };
+    const auto first =
+        std::partition_point(round_marks_.begin(), round_marks_.end(), behind);
+    std::vector<std::size_t> from =
+        first == round_marks_.begin() ? std::vector<std::size_t>(n, 0)
+                                      : *std::prev(first);
     std::vector<hist::event> out;
-    std::vector<std::size_t> from(shards_.size(), 0);
-    for (const std::vector<std::size_t>& upto : rounds) {
+    out.reserve(total);
+    const auto merge_run = [&](const std::vector<std::size_t>& upto) {
       for (std::size_t i = 0;; ++i) {
         bool any = false;
-        for (std::size_t k = 0; k < logs.size(); ++k) {
+        for (std::size_t k = 0; k < n; ++k) {
           const std::size_t idx = from[k] + i;
-          if (idx < std::min(upto[k], logs[k].size())) {
-            out.push_back(logs[k][idx]);
+          if (idx < std::min(upto[k], ends[k])) {
             any = true;
+            if (idx >= cursor[k]) out.push_back(fresh[k][idx - cursor[k]]);
           }
         }
         if (!any) break;
       }
-      for (std::size_t k = 0; k < from.size(); ++k) {
-        from[k] = std::max(from[k], std::min(upto[k], logs[k].size()));
+      for (std::size_t k = 0; k < n; ++k) {
+        from[k] = std::max(from[k], std::min(upto[k], ends[k]));
       }
-    }
+    };
+    for (auto it = first; it != round_marks_.end(); ++it) merge_run(*it);
+    merge_run(ends);  // anything past the last run mark
+    cursor = std::move(ends);
     return out;
   }
 
@@ -432,20 +489,19 @@ class sharded_executor final : public executor {
     // one independent linearization per object, all handed to the hist
     // driver in one batch so the jobs fan-out and worst-offender selection
     // apply here exactly as on the unmigrated paths.
-    std::vector<std::vector<hist::event>> logs;
-    logs.reserve(shards_.size());
-    for (const auto& sh : shards_) logs.push_back(sh->events());
-
     const object_registry& reg = object_registry::global();
     std::vector<std::unique_ptr<hist::spec>> spec_store;
     std::vector<hist::object_stream> streams;
-    streams.reserve(placed_.size());
+    std::vector<std::vector<episode>> episodes(shards_.size());
+    streams.reserve(placed_.size());  // the episodes point into it
     for (const auto& [id, rec] : placed_) {
-      std::vector<hist::event> stream = rec.prefix;
-      append_object_slice(stream, logs[static_cast<std::size_t>(rec.shard)],
-                          rec.arrival, id);
       spec_store.push_back(reg.make_spec(rec.kind, rec.params));
-      streams.push_back({id, spec_store.back().get(), std::move(stream)});
+      streams.push_back({id, spec_store.back().get(), rec.prefix});
+      episodes[static_cast<std::size_t>(rec.shard)].push_back(
+          {id, rec.arrival, &streams.back().events});
+    }
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      extend(shards_[k]->log(), std::move(episodes[k]));
     }
     hist::check_result res = hist::check_object_streams(streams, opt);
     if (!res.ok && res.failed_object >= 0) {
@@ -461,34 +517,76 @@ class sharded_executor final : public executor {
   }
 
  private:
-  /// Append `lg[from..)`'s events of object `id` (plus every crash event —
-  /// that world's failure epochs) to `dst`, shifting the op events'
-  /// client_seq past everything already in `dst` for the same pid. Each
-  /// world numbers a process's ops from 1, so without the shift a migrated
-  /// object's stream would repeat (pid, client_seq) pairs across world
-  /// episodes and the checker's duplicate-completion suppression (keyed on
-  /// exactly that pair) could swallow a real completion. All events of one
-  /// episode shift uniformly, so invoke/response/recover stay matched.
-  static void append_object_slice(std::vector<hist::event>& dst,
-                                  const std::vector<hist::event>& lg,
-                                  std::size_t from, std::uint32_t id) {
-    std::map<int, std::uint64_t> base;
-    for (const hist::event& e : dst) {
-      if (e.kind != hist::event_kind::crash) {
-        std::uint64_t& b = base[e.pid];
-        b = std::max(b, e.desc.client_seq);
+  /// An object's history to be extended from its current shard's log: the
+  /// events from position `arrival` on that belong to it (its own op events
+  /// and every crash of that world, its failure epochs) go to `history`.
+  struct episode {
+    std::uint32_t id = 0;
+    std::size_t arrival = 0;
+    std::vector<hist::event>* history = nullptr;
+  };
+
+  /// Extend the histories of objects hosted on one shard in a single
+  /// in-place walk of its log: an op event goes to its object's history, a
+  /// crash to the history of every object that had arrived by then.
+  ///
+  /// Op events are shifted past the largest client_seq their history
+  /// already holds for the same pid. Each world numbers a process's ops
+  /// from 1, so without the shift a migrated object's stream would repeat
+  /// (pid, client_seq) pairs across world episodes and the checker's
+  /// duplicate-completion suppression (keyed on exactly that pair) could
+  /// swallow a real completion. All events of one episode shift uniformly,
+  /// so invoke/response/recover stay matched.
+  static void extend(const hist::log& lg, std::vector<episode> eps) {
+    if (eps.empty()) return;
+    std::stable_sort(eps.begin(), eps.end(),
+                     [](const episode& a, const episode& b) {
+                       return a.arrival < b.arrival;
+                     });
+    std::vector<std::map<int, std::uint64_t>> base(eps.size());
+    for (std::size_t j = 0; j < eps.size(); ++j) {
+      for (const hist::event& e : *eps[j].history) {
+        if (e.kind != hist::event_kind::crash) {
+          std::uint64_t& b = base[j][e.pid];
+          b = std::max(b, e.desc.client_seq);
+        }
       }
     }
-    for (std::size_t i = from; i < lg.size(); ++i) {
-      hist::event e = lg[i];
+    const auto take_op = [&](std::size_t j, hist::event e) {
+      const auto b = base[j].find(e.pid);
+      if (b != base[j].end()) e.desc.client_seq += b->second;
+      eps[j].history->push_back(e);
+    };
+
+    if (eps.size() == 1) {
+      // A migration walks a whole log for one object. A plain id test per
+      // event is measurably cheaper there than the walk below: serve_soak's
+      // rebalancing took about 35 instead of 44 ms per 40-round pass.
+      const std::uint32_t id = eps[0].id;
+      lg.for_each(eps[0].arrival, [&](const hist::event& e) {
+        if (e.kind == hist::event_kind::crash) {
+          eps[0].history->push_back(e);
+        } else if (e.desc.object == id) {
+          take_op(0, e);
+        }
+      });
+      return;
+    }
+
+    std::unordered_map<std::uint32_t, std::size_t> slot_of;
+    for (std::size_t j = 0; j < eps.size(); ++j) slot_of.emplace(eps[j].id, j);
+    std::size_t pos = eps.front().arrival;
+    std::size_t arrived = 0;  // eps[0, arrived) arrived by the event
+    lg.for_each(pos, [&](const hist::event& e) {
+      const std::size_t at = pos++;
+      while (arrived < eps.size() && eps[arrived].arrival <= at) ++arrived;
       if (e.kind == hist::event_kind::crash) {
-        dst.push_back(e);
-      } else if (e.desc.object == id) {
-        auto it = base.find(e.pid);
-        if (it != base.end()) e.desc.client_seq += it->second;
-        dst.push_back(e);
+        for (std::size_t j = 0; j < arrived; ++j) eps[j].history->push_back(e);
+        return;
       }
-    }
+      const auto it = slot_of.find(e.desc.object);
+      if (it != slot_of.end() && it->second < arrived) take_op(it->second, e);
+    });
   }
 
   /// Everything the executor tracks per hosted object: how to rebuild it
@@ -621,7 +719,10 @@ class threads_executor final : public executor {
     // No crash plan to reseed: build() rejects them on this backend.
   }
 
-  std::vector<hist::event> events() const override { return log_.snapshot(); }
+  std::vector<hist::event> events_since(
+      std::vector<std::size_t>& cursor) const override {
+    return one_log_since(log_, cursor);
+  }
 
   hist::check_result check(const hist::check_options& opt) const override {
     hist::object_spec_list specs;

@@ -160,11 +160,27 @@ class executor : public typed_adders<executor> {
 
   // ---- history & verification ---------------------------------------------
 
-  /// The recorded history. Sharded: per-shard logs merged by the stable
-  /// global order (run, then shard-local index, then shard id) — each
-  /// shard's log is a subsequence, runs stay chronological, so per-object
-  /// real-time order is intact.
-  virtual std::vector<hist::event> events() const = 0;
+  /// The history recorded since `cursor`, and the cursor moved past it.
+  /// The cursor holds one log position per shard (one entry off the sharded
+  /// backend); an empty cursor starts at the beginning. The events come in
+  /// exactly the order events() lists them, so the chunks one cursor
+  /// collects over successive calls concatenate to events(). A cursor of
+  /// the wrong length, or one past the end of a log, throws
+  /// std::invalid_argument. Round-based readers (serve's completion
+  /// matching) keep one cursor and read only each round's new events, at a
+  /// cost that does not grow with the history.
+  virtual std::vector<hist::event> events_since(
+      std::vector<std::size_t>& cursor) const = 0;
+
+  /// The whole recorded history: events_since() from an empty cursor.
+  /// Sharded: per-shard logs merged by the stable global order (run, then
+  /// shard-local index, then shard id) — each shard's log is a
+  /// subsequence, runs stay chronological, so per-object real-time order is
+  /// intact.
+  std::vector<hist::event> events() const {
+    std::vector<std::size_t> cursor;
+    return events_since(cursor);
+  }
 
   /// Durable linearizability + detectability via per-object decomposition.
   /// All knobs ride in one hist::check_options: the node budget, an optional

@@ -177,6 +177,7 @@ class harness : public typed_adders<harness> {
   sim::world& world() noexcept { return *world_; }
   core::announcement_board& board() noexcept { return *board_; }
   hist::log& log() noexcept { return *log_; }
+  const hist::log& log() const noexcept { return *log_; }
   core::runtime& runtime() noexcept { return *rt_; }
   nvm::pmem_domain& domain() noexcept { return world_->domain(); }
 

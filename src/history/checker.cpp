@@ -123,7 +123,9 @@ std::vector<op_record> build_records(const std::vector<event>& events,
     for (proc_records& p : procs) {
       if (p.pid == pid) return p;
     }
-    return procs.emplace_back(proc_records{.pid = pid});
+    proc_records& p = procs.emplace_back();
+    p.pid = pid;
+    return p;
   };
 
   for (std::size_t i = 0; i < events.size(); ++i) {

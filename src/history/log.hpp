@@ -34,14 +34,23 @@ class log {
     ++used_;
   }
 
-  std::vector<event> snapshot() const {
-    std::scoped_lock lock(mu_);
+  /// Copy of the events at positions `from` onwards (all of them by
+  /// default; none when `from` is at or past the end).
+  std::vector<event> snapshot(std::size_t from = 0) const {
     std::vector<event> out;
-    out.reserve(used_);
-    for (std::size_t i = 0; i < used_; ++i) {
-      out.push_back(blocks_[i / k_block_events][i % k_block_events]);
-    }
+    std::scoped_lock lock(mu_);
+    if (from < used_) out.reserve(used_ - from);
+    visit_locked(from, [&](const event& e) { out.push_back(e); });
     return out;
+  }
+
+  /// Call `f(e)` on the events at positions `from` onwards, in place and in
+  /// log order, under the log's lock: readers that keep only a slice of a
+  /// long log need not copy the rest. `f` must not touch this log.
+  template <class F>
+  void for_each(std::size_t from, F&& f) const {
+    std::scoped_lock lock(mu_);
+    visit_locked(from, f);
   }
 
   std::size_t size() const {
@@ -66,6 +75,13 @@ class log {
   std::string to_string() const;
 
  private:
+  template <class F>
+  void visit_locked(std::size_t from, F&& f) const {
+    for (std::size_t i = from; i < used_; ++i) {
+      f(blocks_[i / k_block_events][i % k_block_events]);
+    }
+  }
+
   void grow_locked() {
     if (blocks_used_ < blocks_.size()) {
       ++blocks_used_;  // reuse a block retained by clear()

@@ -247,9 +247,7 @@ bool server::run_round() {
     nvm_cells_ = rep.nvm_cells;
     nvm_bytes_ = rep.nvm_bytes;
 
-    const std::vector<hist::event> evs = ex_->events();
-    for (std::size_t i = scanned_events_; i < evs.size(); ++i) {
-      const hist::event& e = evs[i];
+    for (const hist::event& e : ex_->events_since(event_cursor_)) {
       const bool completes =
           e.kind == hist::event_kind::response ||
           (e.kind == hist::event_kind::recover_result &&
@@ -278,7 +276,6 @@ bool server::run_round() {
       done.emplace_back(std::move(c), std::move(rec.cb));
       inflight_.erase(it);
     }
-    scanned_events_ = evs.size();
 
     for (auto& [id, rec] : sessions_) {
       rec.tokens = std::min(cfg_.session_tokens, rec.tokens + cfg_.session_refill);

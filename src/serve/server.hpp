@@ -15,10 +15,13 @@
 //               per-session token bucket (refilled each round), and a global
 //               admitted-but-incomplete cap. shutdown() flips admission to
 //               `shutting_down` and drains what was already admitted.
-//   completion  After each round the server scans the executor's merged
-//               event log: a `response` — or a `recover_result(linearized)`
-//               for an op whose response was lost to a crash — completes the
-//               matching inflight ticket, keyed by (shard, pid, client_seq).
+//   completion  After each round the server reads the events that round
+//               appended, through a per-shard event cursor
+//               (executor::events_since), in merged-log order: a `response`
+//               — or a `recover_result(linearized)` for an op whose response
+//               was lost to a crash — completes the matching inflight
+//               ticket, keyed by (shard, pid, client_seq). Matching costs
+//               what the round appended, not the history before it.
 //               A duplicate completion (response persisted, then the crash
 //               landed before the client's done_seq store, so recovery
 //               re-reports it) is deduplicated by the ticket erase: first
@@ -235,7 +238,8 @@ class server : public api::typed_adders<server> {
   std::map<inflight_key, inflight_rec> inflight_;
   std::vector<std::map<int, std::uint64_t>> seq_;  // per shard: pid → count
   std::map<std::uint32_t, int> homes_;             // object → current shard
-  std::size_t scanned_events_ = 0;
+  /// Where completion matching stopped reading each shard's log.
+  std::vector<std::size_t> event_cursor_;
 
   rebalancer reb_;
 

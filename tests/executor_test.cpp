@@ -240,6 +240,80 @@ TEST(executor_backends, log_text_formats_the_event_log) {
   }
 }
 
+// events_since() hands out the history in chunks: one cursor read after
+// every run, across crashes, a migration and a rebalance, collects exactly
+// events(); a read with no run in between is empty; on the sharded backend
+// a chunk is the run's shard-log growth, merged.
+TEST(executor_backends, events_since_chunks_concatenate_to_events) {
+  for (exec_backend be : {exec_backend::single, exec_backend::sharded,
+                          exec_backend::threads}) {
+    const bool sharded = be == exec_backend::sharded;
+    api::executor::builder b;
+    b.backend(be).shards(sharded ? 3 : 1).procs(2).seed(7);
+    if (be != exec_backend::threads) {
+      b.fail_policy(core::runtime::fail_policy::retry)
+          .crash_random(11, 0.05, 2);
+    }
+    auto ex = b.build();
+    std::vector<api::counter> objs;
+    for (int i = 0; i < 6; ++i) objs.push_back(ex->add_counter());
+
+    std::vector<std::size_t> cursor;
+    std::vector<hist::event> chunks;
+    for (int round = 0; round < 4; ++round) {
+      if (sharded && round == 2) ex->migrate(objs[0].id(), 2);
+      if (sharded && round == 3) {
+        api::placement_policy hash;
+        hash.kind = api::placement_kind::hash;
+        ex->rebalance(hash);
+      }
+      ex->reseed_crashes(100 + static_cast<std::uint64_t>(round));
+      for (int pid = 0; pid < 2; ++pid) {
+        ex->script(pid, {objs[static_cast<std::size_t>(round + pid)].add(1),
+                         objs[static_cast<std::size_t>(pid)].add(2),
+                         objs[5].read()});
+      }
+      ex->run();
+
+      const std::vector<std::size_t> before = cursor;
+      const std::vector<hist::event> chunk = ex->events_since(cursor);
+      ASSERT_EQ(cursor.size(), static_cast<std::size_t>(ex->shards()))
+          << backend_name(be);
+      std::size_t growth = 0;
+      for (std::size_t k = 0; k < cursor.size(); ++k) {
+        growth += cursor[k] - (before.empty() ? 0 : before[k]);
+      }
+      EXPECT_EQ(chunk.size(), growth) << backend_name(be) << " run " << round;
+      EXPECT_FALSE(chunk.empty()) << backend_name(be) << " run " << round;
+      chunks.insert(chunks.end(), chunk.begin(), chunk.end());
+      EXPECT_EQ(hist::format_log(chunks), ex->log_text())
+          << backend_name(be) << " run " << round;
+
+      const std::vector<std::size_t> idle = cursor;
+      EXPECT_TRUE(ex->events_since(cursor).empty()) << backend_name(be);
+      EXPECT_EQ(cursor, idle) << backend_name(be);
+    }
+    if (be != exec_backend::threads) {
+      EXPECT_TRUE(std::any_of(chunks.begin(), chunks.end(),
+                              [](const hist::event& e) {
+                                return e.kind == hist::event_kind::crash;
+                              }))
+          << backend_name(be);
+    }
+    std::vector<std::size_t> fresh;
+    EXPECT_EQ(hist::format_log(ex->events_since(fresh)), ex->log_text())
+        << backend_name(be);
+    EXPECT_EQ(fresh, cursor) << backend_name(be);
+    EXPECT_TRUE(ex->check().ok) << backend_name(be);
+
+    std::vector<std::size_t> wrong_size(cursor.size() + 1, 0);
+    EXPECT_THROW(ex->events_since(wrong_size), std::invalid_argument);
+    std::vector<std::size_t> past_end = cursor;
+    ++past_end[0];
+    EXPECT_THROW(ex->events_since(past_end), std::invalid_argument);
+  }
+}
+
 // ---- threads backend --------------------------------------------------------
 
 TEST(executor_threads, real_thread_run_passes_the_per_object_check) {

@@ -1253,7 +1253,10 @@ TEST(replay_dump, failure_artifact_parses_back_to_the_shrunk_scenario) {
   f.kind = "reg";
   f.message = "synthetic\nmultiline message";
   f.scenario = fuzz::generate(1234, "reg");
-  f.shrunk = fuzz::generate(1234, "reg", {.min_procs = 1, .max_procs = 1});
+  fuzz::gen_config one_proc;
+  one_proc.min_procs = 1;
+  one_proc.max_procs = 1;
+  f.shrunk = fuzz::generate(1234, "reg", one_proc);
   api::scripted_scenario parsed = api::parse_scenario(f.to_artifact());
   EXPECT_EQ(api::dump(parsed), api::dump(f.shrunk));
 }
