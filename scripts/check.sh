@@ -46,6 +46,12 @@
 #                                    # bench_detect_smoke test, so a library
 #                                    # API change that breaks the benchmark
 #                                    # fails CI
+#   scripts/check.sh --tsan          # the CI ThreadSanitizer stage: a Tsan
+#                                    # build of the suites that run real
+#                                    # threads (threads backend, driver and
+#                                    # checker lanes, thread engine, serve
+#                                    # dispatcher), run without their fork
+#                                    # tests
 #   scripts/check.sh --serve-soak N  # the CI serve-soak stage: bench_serve
 #                                    # with N sessions x 2000 ops — the
 #                                    # invariant-enforcing serving soak
@@ -240,6 +246,25 @@ case "${1:-}" in
     cmake --build "$dir" --target bench_detect -j "$jobs"
     ctest --test-dir "$dir" --output-on-failure -R bench_detect_smoke
     ;;
+  --tsan)
+    dir="${DETECT_BUILD_DIR:-build-tsan}"
+    echo "== tsan: ThreadSanitizer build of the threaded suites ($dir) =="
+    # TSan aborts a child that starts threads after a multi-threaded fork,
+    # so the two fork tests stay out of this stage (the other stages run
+    # them).
+    no_fork='-task_pool.forked_child_gets_a_fresh_shared_pool'
+    no_fork+=':pool_threads.replay_never_wakes_the_pool'
+    suites=(executor_test api_test engine_test check_parallel_test
+            serve_test task_pool_test)
+    cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Tsan \
+      ${configure_flags[@]+"${configure_flags[@]}"} >/dev/null
+    cmake --build "$dir" --target "${suites[@]}" -j "$jobs"
+    for t in "${suites[@]}"; do
+      echo "== tsan: $t =="
+      TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+        "$dir/$t" --gtest_filter="$no_fork" --gtest_brief=1
+    done
+    ;;
   --serve-soak)
     sessions="${2:-32}"
     dir="${DETECT_BUILD_DIR:-build-$build_type}"
@@ -260,7 +285,7 @@ case "${1:-}" in
     stage_ctest build-sanitize
     ;;
   *)
-    echo "usage: $0 [--fast | --quick | --fuzz N | --fuzz-sharded N | --fuzz-placement N | --fuzz-sched N | --fuzz-wmm N | --fuzz-deep N [--jobs J] | --bench-smoke | --bench-detect-smoke | --serve-soak N]" >&2
+    echo "usage: $0 [--fast | --quick | --fuzz N | --fuzz-sharded N | --fuzz-placement N | --fuzz-sched N | --fuzz-wmm N | --fuzz-deep N [--jobs J] | --bench-smoke | --bench-detect-smoke | --tsan | --serve-soak N]" >&2
     exit 2
     ;;
 esac

@@ -9,6 +9,7 @@
 #include <exception>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -733,7 +734,7 @@ class threads_executor final : public executor {
 
  private:
   // The caller-side protocol of §2, same as core::runtime::announce_and_invoke
-  // but free-running: the log's mutex serializes appends, and since an op's
+  // but free-running: log_mu_ serializes appends, and since an op's
   // invoke event precedes its first step and its response event follows its
   // return, the recorded intervals contain the real ones — precedence derived
   // from the log is sound for the linearizability check.
@@ -764,12 +765,16 @@ class threads_executor final : public executor {
     e.pid = pid;
     e.desc = desc;
     e.value = value;
+    std::scoped_lock lock(log_mu_);
     log_.append(e);
   }
 
   exec_policy pol_;
   nvm::pmem_domain dom_;
   core::announcement_board board_;
+  /// Client threads append at once; hist::log takes no lock of its own.
+  /// Readers come after run() joins the threads, so they need no lock.
+  std::mutex log_mu_;
   hist::log log_;
   std::vector<std::unique_ptr<core::detectable_object>> objects_;
   std::map<std::uint32_t, core::detectable_object*> by_id_;

@@ -61,8 +61,11 @@ std::unique_ptr<executor> build_executor(const scripted_scenario& s) {
   if (!s.drain_steps.empty()) b.drain_at(s.drain_steps);
   // `shards` doubles as the equivalence-diff knob on the one-world backends
   // (see the field comment), where build() would reject it as a world count.
+  // A scenario's shards run inline, in order, on the calling thread: a
+  // replay is a few dozen steps, far less than a pool handoff costs, and
+  // campaigns already run in parallel across fuzz_main --jobs workers.
   if (s.backend == exec_backend::sharded) {
-    b.shards(s.shards).placement(s.placement);
+    b.shards(s.shards).placement(s.placement).pool_threads(1);
   }
   if (!s.crash_steps.empty()) b.crash_at(s.crash_steps);
   if (s.shared_cache) b.shared_cache();

@@ -1,9 +1,16 @@
 // Append-only execution log, arena-backed.
 //
 // Under the simulator, appends happen at scheduler-granted steps, so the
-// append order equals the model's real-time order. In free-running mode a
-// mutex provides a consistent (if arbitrary) serialization — free-running is
-// used for performance measurement, not for checking.
+// append order equals the model's real-time order.
+//
+// The log takes no lock. One thread at a time may append, read or clear it,
+// and a thread that takes over from another must be ordered after it (a
+// join, a mutex, or the simulator's step handoff). Under the simulator that
+// holds by construction: a world's log is touched only by its driver or by
+// the strand the driver handed the step to. Callers that append from
+// threads running at once serialize the appends themselves: the
+// free-running threads executor holds its own mutex around each append,
+// and its log is read only after its client threads are joined.
 //
 // Storage is a chunked bump arena: fixed-size blocks of POD `event`s,
 // allocated once and reused across runs (`clear()` rewinds the cursor but
@@ -14,7 +21,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "history/event.hpp"
@@ -28,8 +34,7 @@ class log {
   static constexpr std::size_t k_block_events = 1024;
 
   void append(event e) {
-    std::scoped_lock lock(mu_);
-    if (used_ == k_block_events * blocks_used_) grow_locked();
+    if (used_ == k_block_events * blocks_used_) grow();
     blocks_[used_ / k_block_events][used_ % k_block_events] = e;
     ++used_;
   }
@@ -38,51 +43,37 @@ class log {
   /// default; none when `from` is at or past the end).
   std::vector<event> snapshot(std::size_t from = 0) const {
     std::vector<event> out;
-    std::scoped_lock lock(mu_);
     if (from < used_) out.reserve(used_ - from);
-    visit_locked(from, [&](const event& e) { out.push_back(e); });
+    for_each(from, [&](const event& e) { out.push_back(e); });
     return out;
   }
 
   /// Call `f(e)` on the events at positions `from` onwards, in place and in
-  /// log order, under the log's lock: readers that keep only a slice of a
-  /// long log need not copy the rest. `f` must not touch this log.
+  /// log order: readers that keep only a slice of a long log need not copy
+  /// the rest. `f` must not append to or clear this log.
   template <class F>
   void for_each(std::size_t from, F&& f) const {
-    std::scoped_lock lock(mu_);
-    visit_locked(from, f);
-  }
-
-  std::size_t size() const {
-    std::scoped_lock lock(mu_);
-    return used_;
-  }
-
-  /// Rewind to empty. Blocks are retained: the next run appends into the
-  /// same storage without touching the allocator.
-  void clear() {
-    std::scoped_lock lock(mu_);
-    used_ = 0;
-    blocks_used_ = blocks_.empty() ? 0 : 1;
-  }
-
-  /// Arena blocks ever allocated by this log (monotone; clear() keeps them).
-  std::size_t blocks_allocated() const {
-    std::scoped_lock lock(mu_);
-    return blocks_.size();
-  }
-
-  std::string to_string() const;
-
- private:
-  template <class F>
-  void visit_locked(std::size_t from, F&& f) const {
     for (std::size_t i = from; i < used_; ++i) {
       f(blocks_[i / k_block_events][i % k_block_events]);
     }
   }
 
-  void grow_locked() {
+  std::size_t size() const noexcept { return used_; }
+
+  /// Rewind to empty. Blocks are retained: the next run appends into the
+  /// same storage without touching the allocator.
+  void clear() noexcept {
+    used_ = 0;
+    blocks_used_ = blocks_.empty() ? 0 : 1;
+  }
+
+  /// Arena blocks ever allocated by this log (monotone; clear() keeps them).
+  std::size_t blocks_allocated() const noexcept { return blocks_.size(); }
+
+  std::string to_string() const;
+
+ private:
+  void grow() {
     if (blocks_used_ < blocks_.size()) {
       ++blocks_used_;  // reuse a block retained by clear()
       return;
@@ -91,7 +82,6 @@ class log {
     ++blocks_used_;
   }
 
-  mutable std::mutex mu_;
   std::vector<std::unique_ptr<event[]>> blocks_;
   std::size_t blocks_used_ = 0;  // blocks the current contents span
   std::size_t used_ = 0;         // total events appended since clear()

@@ -133,7 +133,13 @@ void load_image(const std::vector<persistent_base*>& cells,
 
 class pmem_domain {
  public:
-  pmem_domain() = default;
+  /// `counting` fixes how the domain's instruction counters may be bumped
+  /// (see nvm/stats.hpp): `shared` (the default) when threads access the
+  /// domain's cells at once, `confined` when one thread at a time does and
+  /// each hands over to the next, as in a sim::world. It cannot be changed
+  /// later.
+  explicit pmem_domain(stats::sharing counting = stats::sharing::shared)
+      : stats_(counting) {}
   pmem_domain(const pmem_domain&) = delete;
   pmem_domain& operator=(const pmem_domain&) = delete;
 
@@ -187,6 +193,8 @@ class pmem_domain {
   /// Checkpoint every cell's current value as persisted.
   void persist_all() noexcept;
 
+  /// Instruction counters. Concurrent bumps are safe only when the domain
+  /// was built with stats::sharing::shared.
   stats& counters() noexcept { return stats_; }
   const stats& counters() const noexcept { return stats_; }
 

@@ -1,6 +1,18 @@
 // Instruction accounting for the emulated NVM: how many loads, stores, CAS,
 // flushes and fences a run issued. Used by the persistency-cost experiment
 // (E7) and by the step-bound experiment (E5).
+//
+// Every emulated access bumps one counter, so the bump is on the hot path.
+// Whether it may race is fixed when the counters are constructed:
+//   * shared   — any number of threads count at once (relaxed fetch_add).
+//     The global domain, api::arena and the threads executor count this way.
+//   * confined — one thread at a time counts, each handing over to the next
+//     through a synchronizing handoff (a plain load and store, no locked
+//     instruction). sim::world's domain counts this way: only its driver, or
+//     the strand the driver handed the step to, touches it.
+// Confined counters are read and reset only by the thread that counts, or
+// after a handoff from it (sim::world's callers read them between runs).
+// The mode cannot change after construction.
 #pragma once
 
 #include <atomic>
@@ -39,10 +51,13 @@ struct stats_snapshot {
   }
 };
 
-/// Concurrent counters (relaxed atomics: counts only, no synchronization
-/// role).
+/// The counters (relaxed atomics: counts only, no synchronization role).
 class stats {
  public:
+  enum class sharing : std::uint8_t { shared, confined };
+
+  explicit stats(sharing s = sharing::shared) noexcept : sharing_(s) {}
+
   void add_shared_load() noexcept { bump(shared_loads_); }
   void add_shared_store() noexcept { bump(shared_stores_); }
   void add_shared_cas() noexcept { bump(shared_cas_); }
@@ -80,9 +95,16 @@ class stats {
   }
 
  private:
-  static void bump(std::atomic<std::uint64_t>& c) noexcept {
-    c.fetch_add(1, std::memory_order_relaxed);
+  void bump(std::atomic<std::uint64_t>& c) const noexcept {
+    if (sharing_ == sharing::confined) {
+      c.store(c.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+    } else {
+      c.fetch_add(1, std::memory_order_relaxed);
+    }
   }
+
+  sharing sharing_;
 
   std::atomic<std::uint64_t> shared_loads_{0};
   std::atomic<std::uint64_t> shared_stores_{0};

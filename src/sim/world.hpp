@@ -206,7 +206,9 @@ class world final : private step_relay {
 
   world_config cfg_;
   engine_kind engine_;
-  nvm::pmem_domain domain_;
+  // Confined counting: only the driver, or the strand it handed the step
+  // to, touches the domain, and every handoff synchronizes.
+  nvm::pmem_domain domain_{nvm::stats::sharing::confined};
   nvm::pcell<std::uint64_t> epoch_{1, domain_};
 
   std::vector<std::unique_ptr<strand>> procs_;

@@ -9,20 +9,13 @@
 #include <vector>
 
 #include "fuzz/fuzz.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace detect;
-
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
+using test::fnv_raw;
+using test::k_fnv_basis;
 
 const std::vector<std::string> k_kinds = {"reg",   "cas",     "counter",
                                           "queue", "stack",   "swap",
@@ -51,11 +44,11 @@ TEST(model_axes_pin, generate_and_replay_with_every_pool_open) {
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {
     api::scripted_scenario s =
         fuzz::generate(seed, k_kinds[seed % k_kinds.size()], cfg);
-    h = fnv(h, api::dump(s));
+    h = fnv_raw(h, api::dump(s));
     api::scripted_outcome out = api::replay(s);
-    h = fnv(h, out.log_text);
-    h = fnv(h, out.check.message);
-    h = fnv(h, std::to_string(out.report.steps));
+    h = fnv_raw(h, out.log_text);
+    h = fnv_raw(h, out.check.message);
+    h = fnv_raw(h, std::to_string(out.report.steps));
   }
   EXPECT_EQ(h, 5481874680879061326ULL);
 }
@@ -71,7 +64,7 @@ TEST(model_axes_pin, mutate_with_every_pool_open) {
     std::uint64_t rng = seed * 7919 + 1;
     for (int round = 0; round < 3; ++round) {
       m = fuzz::mutate(m, rng, cfg);
-      h = fnv(h, api::dump(m));
+      h = fnv_raw(h, api::dump(m));
     }
   }
   EXPECT_EQ(h, 17974008492379582502ULL);
@@ -107,11 +100,11 @@ TEST(model_axes_pin, generate_and_mutate_under_each_pool_setting) {
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
       api::scripted_scenario s =
           fuzz::generate(seed, k_kinds[seed % k_kinds.size()], cfg);
-      h = fnv(h, api::dump(s));
+      h = fnv_raw(h, api::dump(s));
       std::uint64_t rng = seed * 104729 + 3;
       for (int round = 0; round < 3; ++round) {
         s = fuzz::mutate(s, rng, cfg);
-        h = fnv(h, api::dump(s));
+        h = fnv_raw(h, api::dump(s));
       }
     }
   }
@@ -141,8 +134,8 @@ TEST(model_axes_pin, shrunk_planted_failures_with_every_pool_open) {
       opt.gen.max_shards = 1;
       const fuzz::fuzz_stats st = fuzz::run_fuzz(opt);
       ASSERT_TRUE(st.failure.has_value()) << info.name << " was not found";
-      h = fnv(h, std::to_string(st.failure->iteration));
-      h = fnv(h, api::dump(st.failure->shrunk));
+      h = fnv_raw(h, std::to_string(st.failure->iteration));
+      h = fnv_raw(h, api::dump(st.failure->shrunk));
     }
   }
   EXPECT_EQ(h, 9914254512480862302ULL);

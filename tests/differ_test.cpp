@@ -15,16 +15,8 @@
 namespace {
 
 using namespace detect;
-
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
+using test::fnv_raw;
+using test::k_fnv_basis;
 
 // Registry kinds as of static init, before test_lying_counter is registered.
 const std::vector<std::string> g_builtin_kinds =
@@ -52,11 +44,11 @@ std::uint64_t hash_check(std::uint64_t h, const api::scripted_scenario& s,
   api::scripted_outcome primary;
   const std::string failure =
       fuzz::check_scenario(s, diff, &replays, &primary, placement);
-  h = fnv(h, failure);
-  h = fnv(h, primary.check.ok ? "ok" : "rejected");
-  h = fnv(h, std::to_string(primary.check.nodes));
-  h = fnv(h, primary.log_text);
-  if (!placement) h = fnv(h, std::to_string(replays));
+  h = fnv_raw(h, failure);
+  h = fnv_raw(h, primary.check.ok ? "ok" : "rejected");
+  h = fnv_raw(h, std::to_string(primary.check.nodes));
+  h = fnv_raw(h, primary.log_text);
+  if (!placement) h = fnv_raw(h, std::to_string(replays));
   return h;
 }
 
@@ -163,7 +155,7 @@ TEST(differ_pin, stage_failure_messages) {
   lone.nprocs = 1;
   lone.scripts[0] = {{0, hist::opcode::ctr_add, 1, 0, 0},
                      {0, hist::opcode::ctr_read, 0, 0, 0}};
-  h = fnv(h, fuzz::diff_against(lone, "test_lying_counter").message);
+  h = fnv_raw(h, fuzz::diff_against(lone, "test_lying_counter").message);
   api::scripted_scenario pair;
   pair.objects.push_back({0, "reg", {}});
   pair.objects.push_back({1, "counter", {}});
@@ -171,7 +163,7 @@ TEST(differ_pin, stage_failure_messages) {
   pair.scripts[0] = {{0, hist::opcode::reg_write, 2, 0, 0},
                      {1, hist::opcode::ctr_add, 1, 0, 0},
                      {1, hist::opcode::ctr_read, 0, 0, 0}};
-  h = fnv(h, fuzz::diff_against(pair, 1u, "test_lying_counter").message);
+  h = fnv_raw(h, fuzz::diff_against(pair, 1u, "test_lying_counter").message);
   EXPECT_EQ(h, 4981213086891022992ULL);
 }
 

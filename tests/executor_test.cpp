@@ -10,6 +10,15 @@
 
 #include "api/api.hpp"
 #include "fuzz/fuzz.hpp"
+#include "util/task_pool.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#define DETECT_TEST_FORK 1
+#include <sys/wait.h>
+#include <unistd.h>
+#else
+#define DETECT_TEST_FORK 0
+#endif
 
 namespace detect {
 namespace {
@@ -905,9 +914,10 @@ bool same_event(const hist::event& x, const hist::event& y) {
 }
 
 // 200 generated sharded scenarios — multi-object, crashy, migrating, with
-// tso/pso drains — replayed with driver pools of 1 (inline), 2 and 4 lanes
-// and with the auto size api::replay() uses. Worlds are deterministic in
-// isolation, so every pool size must merge to the identical log and check.
+// tso/pso drains — replayed with the automatic driver pool (0) and with
+// pools of 1 (inline), 2 and 4 lanes, each against api::replay(), which
+// runs a scenario's shards inline. Worlds are deterministic in isolation, so
+// every pool size must merge to the identical log and check.
 TEST(pool_threads, pool_size_does_not_change_results) {
   fuzz::gen_config cfg;
   cfg.min_shards = 2;
@@ -936,22 +946,22 @@ TEST(pool_threads, pool_size_does_not_change_results) {
     migrating += !s.migrations.empty();
     draining += !s.drain_steps.empty();
 
-    const api::scripted_outcome automatic = api::replay(s);
-    for (int pool : {1, 2, 4}) {
+    const api::scripted_outcome replayed = api::replay(s);
+    for (int pool : {0, 1, 2, 4}) {
       const api::scripted_outcome sized = replay_with_pool(s, pool);
-      ASSERT_EQ(sized.log_text, automatic.log_text)
+      ASSERT_EQ(sized.log_text, replayed.log_text)
           << "seed " << seed << " pool " << pool;
-      ASSERT_EQ(sized.events.size(), automatic.events.size());
+      ASSERT_EQ(sized.events.size(), replayed.events.size());
       for (std::size_t i = 0; i < sized.events.size(); ++i) {
-        ASSERT_TRUE(same_event(sized.events[i], automatic.events[i]))
+        ASSERT_TRUE(same_event(sized.events[i], replayed.events[i]))
             << "seed " << seed << " pool " << pool << " event " << i;
       }
-      ASSERT_EQ(sized.check.ok, automatic.check.ok) << "seed " << seed;
-      ASSERT_EQ(sized.check.inconclusive, automatic.check.inconclusive)
+      ASSERT_EQ(sized.check.ok, replayed.check.ok) << "seed " << seed;
+      ASSERT_EQ(sized.check.inconclusive, replayed.check.inconclusive)
           << "seed " << seed;
-      ASSERT_EQ(sized.check.message, automatic.check.message)
+      ASSERT_EQ(sized.check.message, replayed.check.message)
           << "seed " << seed;
-      ASSERT_EQ(sized.check.nodes, automatic.check.nodes) << "seed " << seed;
+      ASSERT_EQ(sized.check.nodes, replayed.check.nodes) << "seed " << seed;
     }
   }
   // The corpus really exercised crashes, migrations and store-buffer drains.
@@ -959,6 +969,41 @@ TEST(pool_threads, pool_size_does_not_change_results) {
   EXPECT_GE(migrating, 50);
   EXPECT_GE(draining, 50);
 }
+
+#if DETECT_TEST_FORK
+// api::replay drives a scenario's shards inline, so it never wakes the
+// shared driver pool. Forked, because the parent's pool may already have
+// workers from earlier tests; a forked child starts with none.
+TEST(pool_threads, replay_never_wakes_the_pool) {
+  const api::scripted_scenario s = api::parse_scenario(
+      "object 0 reg 0 64\n"
+      "object 1 cas 0 64\n"
+      "object 2 counter 0 64\n"
+      "object 3 reg 0 64\n"
+      "procs 2\n"
+      "sched_seed 7\n"
+      "backend sharded\n"
+      "shards 4\n"
+      "migrate 0 3\n"
+      "migrate 2 1\n"
+      "script 0 reg_write:3:0 cas:0:5@1 ctr_add:2:0@2 reg_read:0:0@3\n"
+      "script 1 ctr_add:1:0@2 reg_write:7:0@3 cas:5:6@1 reg_read:0:0\n");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int code = 0;
+    if (util::task_pool::shared().workers() != 0) code |= 1;
+    const api::scripted_outcome out = api::replay(s);
+    if (!out.check.ok) code |= 2;
+    if (util::task_pool::shared().workers() != 0) code |= 4;
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+#endif
 
 // ---- persistent-cell footprint ----------------------------------------------
 

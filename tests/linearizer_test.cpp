@@ -18,20 +18,13 @@
 #include "fuzz/scenario_gen.hpp"
 #include "history/checker.hpp"
 #include "history/linearizer.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace detect;
-
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
+using test::fnv_raw;
+using test::k_fnv_basis;
 
 // Tallies that show the corpus reaches every kind of outcome.
 struct tally {
@@ -43,11 +36,11 @@ struct tally {
 
 std::uint64_t hash_lin(std::uint64_t h, const hist::lin_result& r,
                        std::size_t ops, tally& t) {
-  h = fnv(h, r.linearizable ? "lin" : "not");
-  h = fnv(h, r.exhausted_budget ? "exhausted" : "decided");
-  h = fnv(h, std::to_string(r.nodes));
-  for (std::size_t i : r.witness) h = fnv(h, std::to_string(i) + ',');
-  h = fnv(h, r.error);
+  h = fnv_raw(h, r.linearizable ? "lin" : "not");
+  h = fnv_raw(h, r.exhausted_budget ? "exhausted" : "decided");
+  h = fnv_raw(h, std::to_string(r.nodes));
+  for (std::size_t i : r.witness) h = fnv_raw(h, std::to_string(i) + ',');
+  h = fnv_raw(h, r.error);
   if (r.exhausted_budget) {
     ++t.inconclusive;
   } else if (r.linearizable) {
@@ -61,11 +54,11 @@ std::uint64_t hash_lin(std::uint64_t h, const hist::lin_result& r,
 
 std::uint64_t hash_check(std::uint64_t h, const hist::check_result& r,
                          tally& t) {
-  h = fnv(h, r.ok ? "ok" : "rejected");
-  h = fnv(h, r.inconclusive ? "inconclusive" : "decided");
-  h = fnv(h, std::to_string(r.nodes));
-  h = fnv(h, r.synthesized_interval ? "synth" : "-");
-  h = fnv(h, r.message);
+  h = fnv_raw(h, r.ok ? "ok" : "rejected");
+  h = fnv_raw(h, r.inconclusive ? "inconclusive" : "decided");
+  h = fnv_raw(h, std::to_string(r.nodes));
+  h = fnv_raw(h, r.synthesized_interval ? "synth" : "-");
+  h = fnv_raw(h, r.message);
   if (r.inconclusive) {
     ++t.inconclusive;
   } else if (r.ok) {

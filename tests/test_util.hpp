@@ -35,6 +35,17 @@ inline std::uint64_t fnv(std::uint64_t h, const std::string& s) {
   return (h ^ 0xff) * 1099511628211ULL;
 }
 
+/// FNV-1a with no field separator: folds `s` into `h` and nothing else.
+/// Golden pins captured this way (the differ, axes, linearizer and wmm
+/// suites) keep using it, so their hashes stay comparable across history.
+inline std::uint64_t fnv_raw(std::uint64_t h, const std::string& s) {
+  for (unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
 
 /// pid → script, the façade's scripting currency.

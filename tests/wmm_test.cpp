@@ -19,10 +19,13 @@
 #include "nvm/pcell.hpp"
 #include "sim/world.hpp"
 #include "wmm/visibility.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace detect;
+using test::fnv_raw;
+using test::k_fnv_basis;
 
 // Registry kinds as of static init — the tso/pso cleanliness sweep must not
 // pick up the planted-bug kind later tests register.
@@ -290,14 +293,6 @@ TEST(replay_v6, parse_rejects_unknown_visibility_models) {
 
 // ---- determinism pin --------------------------------------------------------
 
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // Strip the header comment and the v6 lines, leaving exactly the v5 payload
 // the pre-wmm golden hashes were captured over.
 std::string filter_dump(const std::string& text) {
@@ -335,27 +330,27 @@ TEST(wmm_determinism, sc_seed_streams_match_the_pre_wmm_golden_hashes) {
   const std::vector<std::string> kinds = {"reg",   "cas",     "counter",
                                           "queue", "stack",   "swap",
                                           "tas",   "max_reg", "lock"};
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = k_fnv_basis;
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {
     api::scripted_scenario s =
         fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
     EXPECT_EQ(s.visibility, wmm::visibility_model::sc);
     EXPECT_TRUE(s.drain_steps.empty());
-    h = fnv(h, filter_dump(api::dump(s)));
+    h = fnv_raw(h, filter_dump(api::dump(s)));
     api::scripted_outcome out = api::replay(s);
-    h = fnv(h, out.log_text);
-    h = fnv(h, out.check.message);
-    h = fnv(h, std::to_string(out.report.steps));
+    h = fnv_raw(h, out.log_text);
+    h = fnv_raw(h, out.check.message);
+    h = fnv_raw(h, std::to_string(out.report.steps));
   }
   EXPECT_EQ(h, 18241611561182990775ULL);
 
-  std::uint64_t hm = 1469598103934665603ULL;
+  std::uint64_t hm = k_fnv_basis;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     api::scripted_scenario s =
         fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
     std::uint64_t rng = seed * 7919 + 1;
     api::scripted_scenario m = fuzz::mutate(s, rng, cfg);
-    hm = fnv(hm, filter_dump(api::dump(m)));
+    hm = fnv_raw(hm, filter_dump(api::dump(m)));
   }
   EXPECT_EQ(hm, 4661788257893819786ULL);
 }
