@@ -91,6 +91,46 @@ TEST(differ_pin, mixed_model_pools) {
   EXPECT_EQ(hash_generated(cfg), 5214843295720148694ULL);
 }
 
+// lin_memo's fingerprint decides which sub-checks of a variant family repeat.
+// Over fuzz_main's default scenarios, each replayed as declared, on the other
+// shard layout, and crash-free with its primary object as declared and as
+// every variants_of kind, through one memo per scenario, the hit and miss
+// totals are pinned: a weaker fingerprint would turn misses into hits, and a
+// fingerprint that read bytes outside the event fields would turn repeats
+// into misses.
+TEST(differ_pin, memo_hits_and_misses) {
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const std::string& kind = g_builtin_kinds[seed % g_builtin_kinds.size()];
+    const api::scripted_scenario s = fuzz::generate(seed, kind, default_config());
+    hist::lin_memo memo;
+    hist::check_options opt;
+    opt.memo = &memo;
+    api::replay(s, opt);
+    if (s.shards > 1) {
+      api::scripted_scenario other = s;
+      other.backend = s.backend == api::exec_backend::single
+                          ? api::exec_backend::sharded
+                          : api::exec_backend::single;
+      api::replay(other, opt);
+    }
+    api::scripted_scenario base = s;
+    base.crash_steps.clear();
+    base.policy = core::runtime::fail_policy::skip;
+    api::replay(base, opt);
+    for (const std::string& v : fuzz::variants_of(s.objects[0].kind)) {
+      api::scripted_scenario substituted = base;
+      substituted.objects[0].kind = v;
+      api::replay(substituted, opt);
+    }
+    hits += memo.hits();
+    misses += memo.misses();
+  }
+  EXPECT_EQ(hits, 1612u);
+  EXPECT_EQ(misses, 1452u);
+}
+
 // ---- hand-built failures, one per stage -------------------------------------
 
 // Primary stage: a non-detectable counter whose crashed add is reported FAIL

@@ -693,4 +693,51 @@ TEST(checker, detects_false_fail_claim_when_effect_observed) {
   EXPECT_FALSE(r.ok);
 }
 
+// ---- lin_memo fingerprint -------------------------------------------------------
+
+// Two streams that differ in one field of one event must never share a memo
+// entry: each of the event's nine fields reaches the fingerprint.
+TEST(lin_memo_key, every_event_field_reaches_the_fingerprint) {
+  op_desc w = mk(opcode::reg_write, 5);
+  w.client_seq = 1;
+  op_desc r = mk(opcode::reg_read);
+  r.client_seq = 1;
+  const std::vector<hist::event> base{
+      ev(hist::event_kind::invoke, 0, w),
+      ev(hist::event_kind::invoke, 1, r),
+      ev(hist::event_kind::response, 1, r, 5),
+      ev(hist::event_kind::crash, -1, {}),
+      ev(hist::event_kind::recover_begin, 0, w),
+      ev(hist::event_kind::recover_result, 0, w, k_ack,
+         hist::recovery_verdict::linearized),
+  };
+  using edit = void (*)(std::vector<hist::event>&);
+  const std::vector<std::pair<const char*, edit>> edits = {
+      {"kind", [](auto& es) { es[4].kind = hist::event_kind::crash; }},
+      {"pid", [](auto& es) { es[3].pid = 7; }},
+      {"object", [](auto& es) { es[3].desc.object = 3; }},
+      {"code", [](auto& es) { es[3].desc.code = opcode::cas; }},
+      {"a", [](auto& es) { es[0].desc.a = 6; }},
+      {"b", [](auto& es) { es[3].desc.b = 1; }},
+      {"client_seq", [](auto& es) { es[1].desc.client_seq = 2; }},
+      {"value", [](auto& es) { es[2].value = 6; }},
+      {"verdict",
+       [](auto& es) { es[5].verdict = hist::recovery_verdict::fail; }},
+  };
+  const hist::register_spec sp(0);
+  for (const auto& [field, apply] : edits) {
+    hist::lin_memo memo;
+    hist::check_options opt;
+    opt.memo = &memo;
+    std::vector<hist::event> changed = base;
+    apply(changed);
+    hist::check_object_streams({{0, &sp, base}}, opt);
+    hist::check_object_streams({{0, &sp, changed}}, opt);
+    EXPECT_EQ(memo.misses(), 2u) << field;
+    EXPECT_EQ(memo.hits(), 0u) << field;
+    hist::check_object_streams({{0, &sp, base}}, opt);
+    EXPECT_EQ(memo.hits(), 1u) << field << ": a repeat must hit";
+  }
+}
+
 }  // namespace
