@@ -64,7 +64,11 @@ class detectable_register final : public detectable_object {
       : n_(nprocs),
         board_(&board),
         // R initially ⟨v_init, 0, 0⟩ — the initial value is attributed to a
-        // write by process 0 that used toggle-bit array 0.
+        // write by process 0 that used toggle-bit array 0, so T_0 starts at
+        // 1, as that write's line 11 would have left it. Starting T_0 at 0
+        // lets p0's first write of v_init reproduce R's initial word: a
+        // write that overwrote a completed one would then pass line 20's
+        // "R unchanged" test and recover as FAIL.
         r_(reg_word::pack(init, 0, 0), dom) {
     a_.reserve(static_cast<std::size_t>(n_) * n_ * 2);
     for (int i = 0; i < n_ * n_ * 2; ++i) {
@@ -74,7 +78,8 @@ class detectable_register final : public detectable_object {
     t_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
       rd_.push_back(std::make_unique<nvm::pvar<rd_data>>(rd_data{}, dom));
-      t_.push_back(std::make_unique<nvm::pvar<std::uint8_t>>(0, dom));
+      t_.push_back(
+          std::make_unique<nvm::pvar<std::uint8_t>>(p == 0 ? 1 : 0, dom));
     }
   }
 

@@ -174,9 +174,10 @@ TEST(detectable_register, line20_toggle_disambiguates_recreated_triplet) {
     h.world().step(1);
   }
 
-  // q recreates R's initial triplet via three completed writes of value 0:
-  // toggles cycle 0 → 1 → 0, and the toggle-1 write sets A[1][0][1].
-  for (std::uint64_t s = 1; s <= 3; ++s) {
+  // q recreates R's initial triplet via two completed writes of value 0:
+  // T_0 starts at 1 (R's initial word stands for q's toggle-0 write), so
+  // toggles cycle 1 → 0, and the toggle-1 write sets A[1][0][1].
+  for (std::uint64_t s = 1; s <= 2; ++s) {
     h.submit_op(0, r.write(0), s);
     h.drive(0);
     h.board().of(0).done_seq.store(s);
@@ -195,10 +196,10 @@ TEST(detectable_register, line20_toggle_disambiguates_recreated_triplet) {
   EXPECT_TRUE(check.ok) << check.message;
 }
 
-// Control experiment for the test above: with only TWO completed writes by q
-// (toggles 0 → 1), R holds ⟨0,0,1⟩ ≠ the persisted triplet, so recovery
-// takes the "R changed" branch — still linearized-as-overwritten.
-TEST(detectable_register, recovery_sees_changed_triplet_after_two_writes) {
+// Control experiment for the test above: with only ONE completed write by q
+// (toggle 1), R holds ⟨0,0,1⟩ ≠ the persisted triplet, so recovery takes the
+// "R changed" branch — still linearized-as-overwritten.
+TEST(detectable_register, recovery_sees_changed_triplet_after_one_write) {
   auto h = api::harness::builder().procs(2).build();
   api::reg r = h.add_reg();
   h.submit_op(1, r.write(7), 1);
@@ -206,11 +207,9 @@ TEST(detectable_register, recovery_sees_changed_triplet_after_two_writes) {
            h.world().pending_access(1) == nvm::access::shared_store)) {
     h.world().step(1);
   }
-  for (std::uint64_t s = 1; s <= 2; ++s) {
-    h.submit_op(0, r.write(0), s);
-    h.drive(0);
-    h.board().of(0).done_seq.store(s);
-  }
+  h.submit_op(0, r.write(0), 1);
+  h.drive(0);
+  h.board().of(0).done_seq.store(1);
   h.crash_now();
   h.submit_recovery(1);
   h.drive(1);
@@ -236,6 +235,37 @@ TEST(detectable_register, line20_returns_fail_when_nothing_intervened) {
   EXPECT_EQ(last_verdict(h.events(), 1), hist::recovery_verdict::fail);
   auto check = h.check();
   EXPECT_TRUE(check.ok) << check.message;
+}
+
+// The initial-word ABA. R starts as ⟨v_init, 0, 0⟩, a write by p0 with
+// toggle 0, so p0's own first write must use toggle 1. Were T_0 to start at
+// 0, p0's first write of v_init would store R's initial word again: p0
+// passes line 5 on that word, p1's write completes, p0's line-7 store
+// overwrites it and p0 crashes before line 8. Recovery at CP = 1 would then
+// find R equal to the word p0 read with its toggle bit still clear, and
+// report FAIL for a write a later read observes (single reg_read -> 0 vs
+// sharded reg_read -> 5 in tests/corpus/replay/reg_initial_word_aba_sc.scn).
+TEST(detectable_register, first_write_of_initial_value_is_no_aba) {
+  auto h = api::harness::builder().procs(2).build();
+  api::reg r = h.add_reg();
+  h.submit_op(0, r.write(0), 1);
+  while (!(h.board().of(0).cp.peek() == 1 &&
+           h.world().pending_access(0) == nvm::access::shared_store)) {
+    h.world().step(0);
+  }
+  h.submit_op(1, r.write(5), 1);
+  h.drive(1);
+  h.board().of(1).done_seq.store(1);
+  h.world().step(0);  // line 7: p0's store overwrites p1's 5
+  h.crash_now();
+  h.submit_recovery(0);
+  h.drive(0);
+  EXPECT_EQ(last_verdict(h.events(), 0), hist::recovery_verdict::linearized)
+      << "p0's write took effect";
+  h.submit_op(1, r.read(), 2);
+  h.drive(1);
+  auto check = h.check();
+  EXPECT_TRUE(check.ok) << check.message << h.log_text();
 }
 
 TEST(detectable_register, exhaustive_two_procs_one_crash_one_preemption) {
