@@ -66,7 +66,7 @@ pmem_domain& pmem_domain::global() {
 }
 
 void pmem_domain::crash_reset() noexcept {
-  std::scoped_lock lock(mu_);
+  const auto held = lock();
   stats_.add_crash();
   last_crash_lost_ = false;
   if (persist_ == persist_model::buffered) {
@@ -92,7 +92,7 @@ void pmem_domain::crash_reset() noexcept {
 }
 
 void pmem_domain::drain_journal() noexcept {
-  std::scoped_lock lock(mu_);
+  const auto held = lock();
   for (persistent_base* c : journal_) {
     c->persist_now();
     c->journaled_ = false;
@@ -101,7 +101,7 @@ void pmem_domain::drain_journal() noexcept {
 }
 
 void pmem_domain::persist_all() noexcept {
-  std::scoped_lock lock(mu_);
+  const auto held = lock();
   for (persistent_base* c = head_; c != nullptr; c = c->next_) {
     c->persist_now();
   }
@@ -110,28 +110,28 @@ void pmem_domain::persist_all() noexcept {
 }
 
 void pmem_domain::attach(persistent_base& cell) {
-  std::scoped_lock lock(mu_);
+  const auto held = lock();
   cell.prev_ = nullptr;
   cell.next_ = head_;
   if (head_ != nullptr) head_->prev_ = &cell;
   head_ = &cell;
   // attach() runs from the concrete cell's constructor body (pcell/pvar),
   // so the image_size() dispatch is safe here — and symmetric in detach().
-  cells_attached_.fetch_add(1, std::memory_order_relaxed);
-  bytes_attached_.fetch_add(cell.image_size(), std::memory_order_relaxed);
+  count(cells_attached_, 1);
+  count(bytes_attached_, static_cast<std::int64_t>(cell.image_size()));
   if (attach_sink_ != nullptr) attach_sink_->push_back(&cell);
 }
 
 void pmem_domain::set_attach_recorder(
     std::vector<persistent_base*>* sink) noexcept {
-  std::scoped_lock lock(mu_);
+  const auto held = lock();
   attach_sink_ = sink;
 }
 
 void pmem_domain::detach(persistent_base& cell) noexcept {
-  std::scoped_lock lock(mu_);
-  cells_attached_.fetch_sub(1, std::memory_order_relaxed);
-  bytes_attached_.fetch_sub(cell.image_size(), std::memory_order_relaxed);
+  const auto held = lock();
+  count(cells_attached_, -1);
+  count(bytes_attached_, -static_cast<std::int64_t>(cell.image_size()));
   if (cell.journaled_) {
     auto it = std::find(journal_.begin(), journal_.end(), &cell);
     if (it != journal_.end()) {

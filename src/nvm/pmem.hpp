@@ -19,6 +19,7 @@
 // exposing the persistency-instruction cost (experiment E7).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -133,11 +134,14 @@ void load_image(const std::vector<persistent_base*>& cells,
 
 class pmem_domain {
  public:
-  /// `counting` fixes how the domain's instruction counters may be bumped
-  /// (see nvm/stats.hpp): `shared` (the default) when threads access the
-  /// domain's cells at once, `confined` when one thread at a time does and
-  /// each hands over to the next, as in a sim::world. It cannot be changed
-  /// later.
+  /// `counting` fixes how the domain may be touched (see nvm/stats.hpp):
+  /// `shared` (the default) when threads access the domain's cells at once,
+  /// `confined` when one thread at a time does and each hands over to the
+  /// next, as in a sim::world. It cannot be changed later. A confined domain
+  /// bumps its instruction counters with a plain load and store, and
+  /// attach, detach, drain_journal, crash_reset, persist_all and
+  /// set_attach_recorder skip the mutex and update the footprint counters
+  /// the same way; a shared domain locks and uses fetch_add.
   explicit pmem_domain(stats::sharing counting = stats::sharing::shared)
       : stats_(counting) {}
   pmem_domain(const pmem_domain&) = delete;
@@ -237,6 +241,25 @@ class pmem_domain {
  private:
   void drain_journal() noexcept;
 
+  /// The mutex of a shared domain, held for the caller's scope; nothing for
+  /// a confined one.
+  std::unique_lock<std::mutex> lock() noexcept {
+    return confined() ? std::unique_lock<std::mutex>{}
+                      : std::unique_lock<std::mutex>{mu_};
+  }
+  bool confined() const noexcept {
+    return stats_.mode() == stats::sharing::confined;
+  }
+  /// Add `delta` to a footprint counter, by the stats::bump rule.
+  void count(std::atomic<std::uint64_t>& c, std::int64_t delta) noexcept {
+    const auto d = static_cast<std::uint64_t>(delta);  // wraps like fetch_sub
+    if (confined()) {
+      c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+    } else {
+      c.fetch_add(d, std::memory_order_relaxed);
+    }
+  }
+
   std::mutex mu_;
   persistent_base* head_ = nullptr;
   /// Cells whose cached value may diverge from their persisted image since
@@ -249,7 +272,8 @@ class pmem_domain {
   std::vector<persistent_base*>* attach_sink_ = nullptr;
   wmm::store_buffer* active_buffer_ = nullptr;
   /// Footprint counters (relaxed atomics: metrics only, readable without the
-  /// mutex; attach/detach already serialize the updates under mu_).
+  /// mutex; attach/detach serialize the updates, under mu_ in a shared
+  /// domain and by confinement in a confined one).
   std::atomic<std::uint64_t> cells_attached_{0};
   std::atomic<std::uint64_t> bytes_attached_{0};
   stats stats_;

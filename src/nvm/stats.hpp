@@ -12,7 +12,10 @@
 //     the strand the driver handed the step to, touches it.
 // Confined counters are read and reset only by the thread that counts, or
 // after a handoff from it (sim::world's callers read them between runs).
-// The mode cannot change after construction.
+// The mode cannot change after construction. A pmem_domain built confined
+// applies the same rule to the rest of its bookkeeping: its cell list,
+// journal and footprint counters take no mutex and no locked instruction
+// (see nvm/pmem.hpp).
 #pragma once
 
 #include <atomic>
@@ -57,6 +60,8 @@ class stats {
   enum class sharing : std::uint8_t { shared, confined };
 
   explicit stats(sharing s = sharing::shared) noexcept : sharing_(s) {}
+
+  sharing mode() const noexcept { return sharing_; }
 
   void add_shared_load() noexcept { bump(shared_loads_); }
   void add_shared_store() noexcept { bump(shared_stores_); }

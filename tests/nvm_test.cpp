@@ -2,6 +2,11 @@
 // two cache models, crash reversion, persist accounting, and the node pool.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "api/registry.hpp"
 #include "nvm/pcell.hpp"
 #include "nvm/pmem.hpp"
 #include "nvm/pool.hpp"
@@ -170,6 +175,59 @@ TEST(pmem_domain, detach_on_destruction) {
   dom.crash_reset();  // must not touch the destroyed cell
   nvm::pcell<int> again(8, dom);
   EXPECT_EQ(again.load(), 8);
+}
+
+// E1 and run_report::nvm_cells/nvm_bytes read a domain's footprint
+// counters. A confined domain (a sim::world's) updates them without the
+// mutex or a locked instruction; for every registry kind they must read
+// what a shared domain reads after construction, after a migration's
+// extract (image saved, object destroyed) and adopt (rebuilt, image loaded),
+// and after teardown.
+TEST(pmem_domain, confined_and_shared_footprints_agree_for_every_kind) {
+  const api::object_registry& reg = api::object_registry::global();
+  using reading = std::pair<std::uint64_t, std::uint64_t>;
+  const auto footprints = [&](const std::string& kind,
+                              nvm::stats::sharing mode) {
+    nvm::pmem_domain dom(mode);
+    std::vector<reading> out;
+    const auto read = [&] {
+      out.emplace_back(dom.cells_attached(), dom.bytes_attached());
+    };
+    {
+      core::announcement_board board(3, dom);
+      read();
+      const api::object_env env{3, board, dom};
+      std::vector<nvm::persistent_base*> cells;
+      api::created_object obj;
+      {
+        nvm::attach_recording rec(dom, cells);
+        obj = reg.create(kind, env);
+      }
+      read();
+      const nvm::pmem_image image = nvm::save_image(cells);
+      obj = {};
+      read();
+      cells.clear();
+      {
+        nvm::attach_recording rec(dom, cells);
+        obj = reg.create(kind, env);
+      }
+      nvm::load_image(cells, image);
+      read();
+    }
+    read();
+    return out;
+  };
+  for (const std::string& kind : reg.kinds()) {
+    const std::vector<reading> confined =
+        footprints(kind, nvm::stats::sharing::confined);
+    EXPECT_EQ(confined, footprints(kind, nvm::stats::sharing::shared)) << kind;
+    ASSERT_EQ(confined.size(), 5u);
+    EXPECT_GT(confined[1].first, confined[0].first) << kind << " attaches";
+    EXPECT_EQ(confined[2], confined[0]) << kind << " extracted";
+    EXPECT_EQ(confined[3], confined[1]) << kind << " adopted";
+    EXPECT_EQ(confined[4], reading(0, 0)) << kind << " torn down";
+  }
 }
 
 TEST(pmem_pool, allocate_and_access) {
