@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -14,23 +15,31 @@ namespace detect::hist {
 
 namespace {
 
-// Two independent FNV-1a streams over the same field sequence — together the
-// 128-bit sub-check fingerprint lin_memo keys on.
+// Two independent 64-bit streams over the same field sequence — together
+// the 128-bit sub-check fingerprint lin_memo keys on. Each field is one
+// 64-bit word and one step per stream: `lo` xors the word in, `hi` adds it,
+// and each then multiplies by its own odd constant and folds its high bits
+// down. Every step is a bijection of the stream's state for a fixed word
+// and of the word for a fixed state, so two sequences of equal length that
+// differ in a single field always end in different keys.
 struct fingerprint {
-  std::uint64_t lo = 14695981039346656037ULL;  // FNV-1a offset basis
-  std::uint64_t hi = 0x9AE16A3B2F90404FULL;    // independent seed
+  std::uint64_t lo = 0xCBF29CE484222325ULL;
+  std::uint64_t hi = 0x9AE16A3B2F90404FULL;
 
   void u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      const std::uint64_t byte = (v >> (8 * i)) & 0xff;
-      lo = (lo ^ byte) * 1099511628211ULL;
-      hi = (hi ^ byte) * 0x100000001B3ULL;
-      hi ^= hi >> 29;
-    }
+    lo = (lo ^ v) * 0x9E3779B97F4A7C15ULL;
+    lo ^= lo >> 32;
+    hi = (hi + v) * 0xFF51AFD7ED558CCDULL;
+    hi ^= hi >> 29;
   }
+  // Length first, then eight bytes per word (the last one zero-padded).
   void str(const std::string& s) noexcept {
     u64(s.size());
-    for (char c : s) u64(static_cast<std::uint8_t>(c));
+    for (std::size_t i = 0; i < s.size(); i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, s.data() + i, std::min<std::size_t>(8, s.size() - i));
+      u64(word);
+    }
   }
 };
 

@@ -78,9 +78,10 @@ std::vector<event> object_events(const std::vector<event>& events,
 /// memo keys each sub-check on a 128-bit fingerprint of (spec dynamic type,
 /// spec serialized state, node budget, the object's projected event stream)
 /// and returns the recorded verdict on a hit. Fingerprints are compared, not
-/// the streams themselves — two independent 64-bit FNV-1a hashes make an
-/// accidental collision (~2^-64 per pair) vanishingly unlikely against the
-/// thousands of sub-checks a fuzz campaign runs.
+/// the streams themselves — two independent 64-bit multiply-xorshift
+/// streams, one step per 64-bit field, make an accidental collision
+/// vanishingly unlikely against the thousands of sub-checks a fuzz campaign
+/// runs, and streams that differ in one field never collide.
 ///
 /// Externally synchronized for the parallel driver: lookup()/store() take an
 /// internal mutex, so one memo may be shared across the concurrent sub-check
