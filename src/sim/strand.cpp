@@ -1,5 +1,6 @@
 #include "sim/strand.hpp"
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -22,6 +23,7 @@
 #endif
 
 #if DETECT_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -106,6 +108,73 @@ std::atomic<engine_kind> g_default_engine{engine_kind::fiber};
 constexpr std::size_t k_fiber_stack_bytes = 256 * 1024;
 
 // ---------------------------------------------------------------------------
+// Per-thread fiber-stack cache. Every world builds one fiber per process and
+// a sharded replay one world per shard, so a fuzz campaign would otherwise
+// allocate and free a dozen 256 KB stacks per replay: blocks above the
+// allocator's mmap threshold, or heap tops it trims, whose pages fault in
+// afresh each time. A finished fiber_strand parks its stack here instead and
+// the next one built on the same thread takes it back, with its pages still
+// mapped. The cache holds at most k_cached_stacks stacks (enough for the
+// fuzzer's largest replay, 3 processes on 4 shards) and frees the rest; a
+// thread's cached stacks are freed when the thread exits.
+
+using stack_ptr = std::unique_ptr<unsigned char[]>;
+
+constexpr std::size_t k_cached_stacks = 16;
+
+class stack_cache {
+ public:
+  stack_cache(const stack_cache&) = delete;
+  stack_cache& operator=(const stack_cache&) = delete;
+
+  // A cached stack, or a fresh one. A stack needs no zeroing:
+  // value-initialising it would memset the whole 256 KB for every process
+  // of every world built.
+  static stack_ptr take() {
+    stack_cache* cache = mine();
+    if (cache == nullptr || cache->count_ == 0) {
+      return std::make_unique_for_overwrite<unsigned char[]>(
+          k_fiber_stack_bytes);
+    }
+    stack_ptr stack = std::move(cache->stacks_[--cache->count_]);
+#if DETECT_ASAN_FIBERS
+    // Frames of the stack's last fiber may have left redzones poisoned.
+    __asan_unpoison_memory_region(stack.get(), k_fiber_stack_bytes);
+#endif
+    return stack;
+  }
+
+  // Park `stack` in the calling thread's cache, or free it when the cache
+  // is full or already gone.
+  static void give(stack_ptr stack) noexcept {
+    stack_cache* cache = mine();
+    if (cache != nullptr && cache->count_ < k_cached_stacks) {
+      cache->stacks_[cache->count_++] = std::move(stack);
+    }
+  }
+
+ private:
+  stack_cache() = default;
+  ~stack_cache() { closed() = true; }
+
+  // The calling thread's cache; null once thread exit has destroyed it (a
+  // strand torn down later in the exit sequence frees its own stack).
+  static stack_cache* mine() noexcept {
+    if (closed()) return nullptr;
+    thread_local stack_cache cache;
+    return &cache;
+  }
+  // Trivially destructible, so it is still readable after the cache is gone.
+  static bool& closed() noexcept {
+    thread_local bool flag = false;
+    return flag;
+  }
+
+  std::array<stack_ptr, k_cached_stacks> stacks_;
+  std::size_t count_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // Saved execution contexts and the one switch between them.
 
 #if DETECT_FIBER_ASM
@@ -157,20 +226,17 @@ struct driver_side {
 
 class fiber_strand final : public strand {
  public:
-  // A stack needs no zeroing: value-initialising it would memset the whole
-  // 256 KB for every process of every world built.
-  fiber_strand()
-      : stack_(std::make_unique_for_overwrite<unsigned char[]>(
-            k_fiber_stack_bytes)) {}
+  fiber_strand() : stack_(stack_cache::take()) {}
 
   ~fiber_strand() override {
     // A task may still be parked mid-run (e.g. the world died at a step
-    // limit): unwind it on its own stack before the stack goes away.
+    // limit): unwind it on its own stack before the stack goes back.
     stopping_ = true;
     while (status_ == status::at_yield) {
       crash_me_ = true;
       enter(nullptr);
     }
+    stack_cache::give(std::move(stack_));
   }
 
   void start(std::function<void()> task) override {

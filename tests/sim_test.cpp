@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "api/replay.hpp"
 #include "nvm/pcell.hpp"
 #include "sim/explorer.hpp"
 #include "sim/world.hpp"
@@ -491,6 +492,94 @@ TEST(handoff, step_after_run_returns_after_one_access) {
     EXPECT_EQ(a.peek(), 11);
     EXPECT_EQ(w.runnable(), (std::vector<int>{1}));
   }
+}
+
+// ---- fiber-stack cache ------------------------------------------------------
+//
+// A dying world's fiber stacks go to a per-thread cache, and the next world
+// built on the thread takes them back. Whatever the last world left on them
+// (fibers unwound at the step limit, after a task exception, after a crash),
+// a replay on reused stacks must be byte-identical. The Sanitize build runs
+// this with the ASan fiber annotations on the reused stacks.
+
+// 3 processes on 4 shards: 12 fiber stacks per replay.
+const char* const k_cached_stack_scenario =
+    "object 0 reg 0 64\n"
+    "object 1 cas 0 64\n"
+    "object 2 counter 0 64\n"
+    "object 3 queue 0 64\n"
+    "procs 3\n"
+    "policy retry\n"
+    "shared_cache 0\n"
+    "sched_seed 77\n"
+    "crash_steps 30\n"
+    "backend sharded\n"
+    "shards 4\n"
+    "placement modulo\n"
+    "script 0 reg_write:3:0 cas:0:5@1 ctr_add:2:0@2 enq:4:0@3 reg_read:0:0\n"
+    "script 1 ctr_add:1:0@2 reg_write:7:0 cas:5:6@1 deq:0:0@3 reg_read:0:0\n"
+    "script 2 enq:9:0@3 ctr_read:0:0@2 cas_read:0:0@1 reg_write:1:0\n";
+
+TEST(stack_cache, reused_stacks_replay_byte_identically) {
+  const api::scripted_scenario s =
+      api::parse_scenario(k_cached_stack_scenario);
+  const api::scripted_outcome ref = api::replay(s);
+  ASSERT_TRUE(ref.check.ok) << ref.check.message;
+  ASSERT_GT(ref.report.crashes, 0u);
+  const auto expect_same_replay = [&](const char* after) {
+    const api::scripted_outcome again = api::replay(s);
+    EXPECT_EQ(again.log_text, ref.log_text) << after;
+    EXPECT_EQ(again.report.steps, ref.report.steps) << after;
+    EXPECT_EQ(again.check.nodes, ref.check.nodes) << after;
+  };
+  const sim::world_config fibers = on_engine(sim::engine_kind::fiber);
+  expect_same_replay("a replay");
+
+  int gone = 0;
+  {
+    sim::world_config cfg = fibers;
+    cfg.max_steps = 40;
+    sim::world w(4, cfg);
+    nvm::pcell<int> c(0, w.domain());
+    for (int p = 0; p < 4; ++p) {
+      w.submit(p, [&] {
+        frame_guard g{gone};
+        for (;;) c.load();
+      });
+    }
+    sim::random_scheduler rs(5);
+    EXPECT_TRUE(w.run(rs).hit_step_limit);
+  }
+  EXPECT_EQ(gone, 4) << "parked fibers unwound before their stacks went back";
+  expect_same_replay("a step-limit teardown");
+
+  {
+    sim::world w(3, fibers);
+    nvm::pcell<int> c(0, w.domain());
+    w.submit(0, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
+    w.submit(1, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
+    w.submit(2, [&] {
+      c.load();
+      throw std::runtime_error("p2 failed");
+    });
+    sim::round_robin_scheduler rr;
+    EXPECT_THROW(w.run(rr), std::runtime_error);
+  }
+  expect_same_replay("a task exception");
+
+  {
+    sim::world w(3, fibers);
+    nvm::pcell<int> c(0, w.domain());
+    for (int p = 0; p < 3; ++p) {
+      w.submit(p, [&, p] {
+        for (int i = 0; i < 5; ++i) c.store(p * 100 + i);
+      });
+    }
+    sim::crash_at_steps plan({4});
+    sim::random_scheduler rs(3);
+    EXPECT_EQ(w.run(rs, &plan).crashes, 1u);
+  }
+  expect_same_replay("a crash");
 }
 
 // ---- explorer ---------------------------------------------------------------
