@@ -110,11 +110,11 @@ constexpr std::size_t k_fiber_stack_bytes = 256 * 1024;
 // ---------------------------------------------------------------------------
 // Per-thread fiber-stack cache. Every world builds one fiber per process and
 // a sharded replay one world per shard, so a fuzz campaign would otherwise
-// allocate and free a dozen 256 KB stacks per replay: blocks above the
-// allocator's mmap threshold, or heap tops it trims, whose pages fault in
-// afresh each time. A finished fiber_strand parks its stack here instead and
-// the next one built on the same thread takes it back, with its pages still
-// mapped. The cache holds at most k_cached_stacks stacks (enough for the
+// allocate and free a dozen 256 KB stacks per replay, and whether their
+// pages fault in afresh each time depends on where the allocator's mmap and
+// trim thresholds happen to stand. A finished fiber_strand parks its stack
+// here instead and the next one built on the same thread takes it back,
+// with its pages still mapped. The cache holds at most k_cached_stacks stacks (enough for the
 // fuzzer's largest replay, 3 processes on 4 shards) and frees the rest; a
 // thread's cached stacks are freed when the thread exits.
 
