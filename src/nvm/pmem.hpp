@@ -250,14 +250,10 @@ class pmem_domain {
   bool confined() const noexcept {
     return stats_.mode() == stats::sharing::confined;
   }
-  /// Add `delta` to a footprint counter, by the stats::bump rule.
+  /// Add `delta` to a footprint counter as the instruction counters count.
   void count(std::atomic<std::uint64_t>& c, std::int64_t delta) noexcept {
-    const auto d = static_cast<std::uint64_t>(delta);  // wraps like fetch_sub
-    if (confined()) {
-      c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-    } else {
-      c.fetch_add(d, std::memory_order_relaxed);
-    }
+    // A negative delta wraps, as fetch_sub would.
+    stats::add(c, static_cast<std::uint64_t>(delta), stats_.mode());
   }
 
   std::mutex mu_;

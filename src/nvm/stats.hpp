@@ -63,6 +63,18 @@ class stats {
 
   sharing mode() const noexcept { return sharing_; }
 
+  /// Add `d` to `c` as a counter of mode `s` may: a relaxed fetch_add when
+  /// shared, a plain load and store when confined.
+  static void add(std::atomic<std::uint64_t>& c, std::uint64_t d,
+                  sharing s) noexcept {
+    if (s == sharing::confined) {
+      c.store(c.load(std::memory_order_relaxed) + d,
+              std::memory_order_relaxed);
+    } else {
+      c.fetch_add(d, std::memory_order_relaxed);
+    }
+  }
+
   void add_shared_load() noexcept { bump(shared_loads_); }
   void add_shared_store() noexcept { bump(shared_stores_); }
   void add_shared_cas() noexcept { bump(shared_cas_); }
@@ -101,12 +113,7 @@ class stats {
 
  private:
   void bump(std::atomic<std::uint64_t>& c) const noexcept {
-    if (sharing_ == sharing::confined) {
-      c.store(c.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-    } else {
-      c.fetch_add(1, std::memory_order_relaxed);
-    }
+    add(c, 1, sharing_);
   }
 
   sharing sharing_;
