@@ -11,8 +11,12 @@
 //             clean per-object durable-linearizability certificate — and
 //             exits nonzero on any violation, so the artifact can only ever
 //             contain rows from a correct run. Its row records the timed
-//             serving loop as `seconds` and the certificate's own wall time
-//             as `check_seconds`.
+//             serving loop as `seconds`, the certificate's own wall time
+//             as `check_seconds`, and the median wall time of one round
+//             (one pump()) over the first and the last quarter of the
+//             waves as `round_ms_first_quarter` / `round_ms_last_quarter`:
+//             equal values mean a round costs what it serves, a rising
+//             last quarter that rounds pay for the history behind them.
 //   overload  2× offered load against a small queue high-water mark: queue
 //             depth must stay bounded, `overloaded` rejects must be issued,
 //             and every *admitted* op must still complete (with its p99).
@@ -33,7 +37,6 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -61,18 +64,26 @@ void expect(bool ok, const std::string& what) {
 }
 
 /// One artifact row: the scenario name and wall time (plus, for the soak,
-/// the certificate's own wall time) wrapped around the serve::stats snapshot
+/// its other timings by name) wrapped around the serve::stats snapshot
 /// (serialized by the library, so field names cannot drift from
 /// serve::stats_json).
-std::string row_json(const std::string& scenario, double seconds,
-                     const serve::stats& st,
-                     std::optional<double> check_seconds = std::nullopt) {
+std::string row_json(
+    const std::string& scenario, double seconds, const serve::stats& st,
+    const std::vector<std::pair<std::string, double>>& timings = {}) {
   std::string row = "    {\"scenario\": \"" + scenario +
                     "\", \"seconds\": " + bench::fmt(seconds, 4);
-  if (check_seconds) {
-    row += ", \"check_seconds\": " + bench::fmt(*check_seconds, 4);
+  for (const auto& [name, value] : timings) {
+    row += ", \"" + name + "\": " + bench::fmt(value, 4);
   }
   return row + ", \"stats\": " + serve::stats_json(st) + "}";
+}
+
+/// Median of `ms` (empty → 0).
+double median_ms(std::vector<double> ms) {
+  if (ms.empty()) return 0.0;
+  const auto mid = ms.begin() + static_cast<long>(ms.size() / 2);
+  std::nth_element(ms.begin(), mid, ms.end());
+  return *mid;
 }
 
 void print_row(const char* scenario, double seconds, const serve::stats& st) {
@@ -147,6 +158,7 @@ std::string run_soak(const cli_cfg& cli) {
 
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t admitted = 0;
+  std::vector<double> round_ms;  // one per wave's pump()
   for (int base = 0; base < cli.ops; base += per_wave) {
     const int end = std::min(cli.ops, base + per_wave);
     for (int s = 0; s < cli.sessions; ++s) {
@@ -157,12 +169,21 @@ std::string run_soak(const cli_cfg& cli) {
         }
       }
     }
+    const auto pump_start = std::chrono::steady_clock::now();
     srv->pump();
+    round_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - pump_start)
+                           .count());
   }
   srv->drain();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  const std::size_t quarter = std::max<std::size_t>(1, round_ms.size() / 4);
+  const double first_quarter = median_ms(
+      {round_ms.begin(), round_ms.begin() + static_cast<long>(quarter)});
+  const double last_quarter = median_ms(
+      {round_ms.end() - static_cast<long>(quarter), round_ms.end()});
 
   serve::stats st = srv->snapshot();
   expect(admitted == static_cast<std::uint64_t>(total_ops),
@@ -188,7 +209,12 @@ std::string run_soak(const cli_cfg& cli) {
   print_row("soak", seconds, st);
   std::printf("%-9s certificate over %zu objects  %.3f s\n", "", cr.objects,
               check_seconds);
-  return row_json("soak", seconds, st, check_seconds);
+  std::printf("%-9s round %.3f ms (first quarter)  %.3f ms (last quarter)\n",
+              "", first_quarter, last_quarter);
+  return row_json("soak", seconds, st,
+                  {{"check_seconds", check_seconds},
+                   {"round_ms_first_quarter", first_quarter},
+                   {"round_ms_last_quarter", last_quarter}});
 }
 
 // ---------------------------------------------------------------------------

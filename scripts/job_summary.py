@@ -77,8 +77,9 @@ def serve_table(data):
            f"{cfg.get('ops_per_session', '?')} ops")
     yield ""
     yield ("| scenario | admitted | completed | rejected | crashes | moves "
-           "| load ratio | p50 | p99 | seconds | ops/s | check seconds |")
-    yield "|---|---|---|---|---|---|---|---|---|---|---|---|"
+           "| load ratio | p50 | p99 | seconds | ops/s | check seconds "
+           "| round ms, first ¼ | round ms, last ¼ |")
+    yield "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
     lost = []
     for row in data["results"]:
         st = row["stats"]
@@ -98,12 +99,19 @@ def serve_table(data):
         rate = f"{completed / seconds:,.0f}" if seconds > 0 else "—"
         check = row.get("check_seconds")
         check_cell = f"{check:.3f}" if check is not None else "—"
+        # Whether a round's cost grows with the history behind it: the
+        # soak's median round over its first and last quarter of waves.
+        first = row.get("round_ms_first_quarter")
+        last = row.get("round_ms_last_quarter")
+        first_cell = f"{first:.2f}" if first is not None else "—"
+        last_cell = f"{last:.2f}" if last is not None else "—"
         yield (f"| {row['scenario']} | {st['admitted']} | {cell} "
                f"| {st.get('rejected', 0)} | {st['crashes']} "
                f"| {len(st.get('moves', []))} "
                f"| {st.get('load_ratio_window', 0):.2f} "
                f"| {st['p50']} {unit} | {st['p99']} {unit} "
-               f"| {seconds:.3f} | {rate} | {check_cell} |")
+               f"| {seconds:.3f} | {rate} | {check_cell} "
+               f"| {first_cell} | {last_cell} |")
     if lost:
         yield ""
         yield "**Lost completions:**"

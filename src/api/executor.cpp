@@ -124,12 +124,10 @@ class single_executor final : public executor {
   }
   void script(int pid, std::vector<hist::op_desc> ops) override {
     check_pid(pid, pol_.nprocs);
-    // Cumulative program per pid: the runtime's durable program counter
-    // (done_seq) resumes after the already-executed prefix, so a second
-    // script()+run() round executes exactly the newly appended ops.
-    std::vector<hist::op_desc>& prog = programs_[pid];
-    prog.insert(prog.end(), ops.begin(), ops.end());
-    h_.script(pid, prog);
+    // One program per pid, extended in place: the runtime's durable program
+    // counter (done_seq) resumes after the already-executed prefix, so a
+    // second script()+run() round executes exactly the newly appended ops.
+    h_.extend_script(pid, ops);
   }
   sim::run_report run() override { return h_.run(); }
 
@@ -153,7 +151,6 @@ class single_executor final : public executor {
  private:
   exec_policy pol_;
   harness h_;
-  std::map<int, std::vector<hist::op_desc>> programs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -194,7 +191,8 @@ class sharded_executor final : public executor {
     for (int k = 0; k < p.shards; ++k) {
       shards_.push_back(std::make_unique<harness>(p));
     }
-    installed_.resize(shards_.size());
+    has_ops_.assign(shards_.size(),
+                    std::vector<bool>(static_cast<std::size_t>(p.nprocs)));
   }
 
   exec_backend backend() const noexcept override {
@@ -254,31 +252,46 @@ class sharded_executor final : public executor {
 
   sim::run_report run() override {
     // Split the newly scheduled ops by the *current* placement, preserving
-    // per-shard program order, and append them to each world's cumulative
-    // program (the per-world durable program counters resume after the
-    // already-executed prefix). A pid with no ops on a shard gets no client
-    // task there. A pid whose whole program is empty still gets an (empty)
-    // client task on shard 0, exactly as the single backend submits one —
-    // without it the worlds' task sets differ and single-vs-sharded
-    // equivalence breaks on shrinker-produced scenarios with emptied
-    // scripts.
+    // per-shard program order, and append them to each world's program (the
+    // per-world durable program counters resume after the already-executed
+    // prefix). A pid with no ops on a shard gets no client task there.
+    std::vector<std::vector<hist::op_desc>> split(shards_.size());
     for (auto& [pid, ops] : pending_) {
       for (const hist::op_desc& d : ops) {
-        installed_[static_cast<std::size_t>(shard_of(d.object))][pid]
-            .push_back(d);
+        split[static_cast<std::size_t>(shard_of(d.object))].push_back(d);
       }
       ops.clear();
+      for (std::size_t k = 0; k < shards_.size(); ++k) {
+        if (split[k].empty()) continue;
+        shards_[k]->extend_script(pid, split[k]);
+        has_ops_[k][static_cast<std::size_t>(pid)] = true;
+        split[k].clear();
+      }
+    }
+    // A pid whose whole program is empty still gets an (empty) client task,
+    // as the single backend submits one: on every shard that hosts a
+    // scripted op, or on shard 0 when none does. Without it a world's task
+    // set differs from the single world's, its scheduler draws differently,
+    // and single-vs-sharded equivalence breaks on shrinker-produced
+    // scenarios with emptied scripts.
+    std::vector<bool> hosts_ops(shards_.size());
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      hosts_ops[k] = std::find(has_ops_[k].begin(), has_ops_[k].end(),
+                               true) != has_ops_[k].end();
     }
     for (int pid : scripted_pids_) {
-      bool scripted = false;
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        auto it = installed_[k].find(pid);
-        if (it != installed_[k].end() && !it->second.empty()) {
-          shards_[k]->script(pid, it->second);
-          scripted = true;
-        }
+      const auto p = static_cast<std::size_t>(pid);
+      if (std::any_of(has_ops_.begin(), has_ops_.end(),
+                      [p](const std::vector<bool>& f) { return f[p]; })) {
+        continue;
       }
-      if (!scripted) shards_[0]->script(pid, {});
+      bool hosted = false;
+      for (std::size_t k = 0; k < shards_.size(); ++k) {
+        if (!hosts_ops[k]) continue;
+        shards_[k]->extend_script(pid, {});
+        hosted = true;
+      }
+      if (!hosted) shards_[0]->extend_script(pid, {});
     }
 
     // Worlds are self-contained (own processes, own NVM domain, thread-local
@@ -364,20 +377,19 @@ class sharded_executor final : public executor {
     placed_object& rec = it->second;
     if (shard == rec.shard) return;  // already home
 
-    // Carry the object's source-shard history (its op events plus the
-    // crashes it lived through) so check() still sees one contiguous
-    // per-object history across the move.
-    harness& src = *shards_[static_cast<std::size_t>(rec.shard)];
-    extend(src.log(), {{object_id, rec.arrival, &rec.prefix}});
-
     // The transplant proper: NVM image out of the source world, fresh
-    // same-layout object in the target world, image back in.
+    // same-layout object in the target world, image back in. The history
+    // stays where it was written: the move records the stay it ends, and
+    // check() projects the object's stays in order, so a move costs the
+    // same however long the source log has grown.
+    harness& src = *shards_[static_cast<std::size_t>(rec.shard)];
+    const std::size_t left = src.log().size();
     nvm::pmem_image image = src.extract_object(object_id);
     harness& dst = *shards_[static_cast<std::size_t>(shard)];
     dst.adopt_object(object_id, rec.kind, rec.params, image);
+    rec.stays.push_back({rec.shard, rec.arrival, left});
     rec.shard = shard;
     rec.arrival = dst.log().size();
-    rec.moved = true;
     any_migrated_ = true;
   }
 
@@ -484,25 +496,39 @@ class sharded_executor final : public executor {
 
     // Once an object has migrated, its history spans shards, so the
     // per-shard decomposition no longer lines up with object homes. Assemble
-    // each object's contiguous stream instead: the prefix carried along by
-    // migrate() plus the projection of its current shard's log since
-    // arrival (op events of the object + that world's crash events) — still
-    // one independent linearization per object, all handed to the hist
-    // driver in one batch so the jobs fan-out and worst-offender selection
-    // apply here exactly as on the unmigrated paths.
+    // each object's contiguous stream instead: the projection of each of its
+    // stays, in order (op events of the object + that world's crash events
+    // while it lived there), the last one open-ended on its current shard.
+    // Every shard log is walked once for all the stays it hosted. Still one
+    // independent linearization per object, all handed to the hist driver in
+    // one batch so the jobs fan-out and worst-offender selection apply here
+    // exactly as on the unmigrated paths.
     const object_registry& reg = object_registry::global();
     std::vector<std::unique_ptr<hist::spec>> spec_store;
     std::vector<hist::object_stream> streams;
+    // Per object, one event list per stay in order, the current one last.
+    std::vector<std::vector<std::vector<hist::event>>> parts(placed_.size());
     std::vector<std::vector<episode>> episodes(shards_.size());
-    streams.reserve(placed_.size());  // the episodes point into it
+    streams.reserve(placed_.size());
     for (const auto& [id, rec] : placed_) {
       spec_store.push_back(reg.make_spec(rec.kind, rec.params));
-      streams.push_back({id, spec_store.back().get(), rec.prefix});
+      streams.push_back({id, spec_store.back().get(), {}});
+      // Sized before the episodes point into it.
+      std::vector<std::vector<hist::event>>& own = parts[streams.size() - 1];
+      own.resize(rec.stays.size() + 1);
+      for (std::size_t j = 0; j < rec.stays.size(); ++j) {
+        const stay& st = rec.stays[j];
+        episodes[static_cast<std::size_t>(st.shard)].push_back(
+            {id, st.from, st.to, &own[j]});
+      }
       episodes[static_cast<std::size_t>(rec.shard)].push_back(
-          {id, rec.arrival, &streams.back().events});
+          {id, rec.arrival, k_open, &own.back()});
     }
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       extend(shards_[k]->log(), std::move(episodes[k]));
+    }
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      streams[i].events = join_stays(parts[i]);
     }
     hist::check_result res = hist::check_object_streams(streams, opt);
     if (!res.ok && res.failed_object >= 0) {
@@ -510,98 +536,106 @@ class sharded_executor final : public executor {
           static_cast<std::uint32_t>(res.failed_object));
       if (it != placed_.end()) {
         res.message = "shard " + std::to_string(it->second.shard) +
-                      (it->second.moved ? " (object migrated)" : "") + ": " +
-                      res.message;
+                      (it->second.stays.empty() ? "" : " (object migrated)") +
+                      ": " + res.message;
       }
     }
     return res;
   }
 
  private:
-  /// An object's history to be extended from its current shard's log: the
-  /// events from position `arrival` on that belong to it (its own op events
-  /// and every crash of that world, its failure epochs) go to `history`.
+  /// One shard's share of an object's history: the events of its log in
+  /// [from, to) that belong to the object (its own op events and every
+  /// crash of that world, its failure epochs) go to `events`.
   struct episode {
     std::uint32_t id = 0;
-    std::size_t arrival = 0;
-    std::vector<hist::event>* history = nullptr;
+    std::size_t from = 0;
+    std::size_t to = 0;
+    std::vector<hist::event>* events = nullptr;
   };
+  static constexpr std::size_t k_open = static_cast<std::size_t>(-1);
 
-  /// Extend the histories of objects hosted on one shard in a single
-  /// in-place walk of its log: an op event goes to its object's history, a
-  /// crash to the history of every object that had arrived by then.
-  ///
-  /// Op events are shifted past the largest client_seq their history
-  /// already holds for the same pid. Each world numbers a process's ops
-  /// from 1, so without the shift a migrated object's stream would repeat
-  /// (pid, client_seq) pairs across world episodes and the checker's
-  /// duplicate-completion suppression (keyed on exactly that pair) could
-  /// swallow a real completion. All events of one episode shift uniformly,
-  /// so invoke/response/recover stay matched.
+  /// Fill the episodes of one shard in a single in-place walk of its log:
+  /// an op event goes to its object's latest begun episode, a crash to
+  /// every episode under way at that point. An object may have several
+  /// episodes on one shard (it left and came back); they never overlap.
   static void extend(const hist::log& lg, std::vector<episode> eps) {
     if (eps.empty()) return;
     std::stable_sort(eps.begin(), eps.end(),
                      [](const episode& a, const episode& b) {
-                       return a.arrival < b.arrival;
+                       return a.from < b.from;
                      });
-    std::vector<std::map<int, std::uint64_t>> base(eps.size());
-    for (std::size_t j = 0; j < eps.size(); ++j) {
-      for (const hist::event& e : *eps[j].history) {
-        if (e.kind != hist::event_kind::crash) {
-          std::uint64_t& b = base[j][e.pid];
-          b = std::max(b, e.desc.client_seq);
-        }
-      }
-    }
-    const auto take_op = [&](std::size_t j, hist::event e) {
-      const auto b = base[j].find(e.pid);
-      if (b != base[j].end()) e.desc.client_seq += b->second;
-      eps[j].history->push_back(e);
-    };
-
-    if (eps.size() == 1) {
-      // A migration walks a whole log for one object. A plain id test per
-      // event is measurably cheaper there than the walk below: serve_soak's
-      // rebalancing took about 35 instead of 44 ms per 40-round pass.
-      const std::uint32_t id = eps[0].id;
-      lg.for_each(eps[0].arrival, [&](const hist::event& e) {
-        if (e.kind == hist::event_kind::crash) {
-          eps[0].history->push_back(e);
-        } else if (e.desc.object == id) {
-          take_op(0, e);
-        }
-      });
-      return;
-    }
-
-    std::unordered_map<std::uint32_t, std::size_t> slot_of;
-    for (std::size_t j = 0; j < eps.size(); ++j) slot_of.emplace(eps[j].id, j);
-    std::size_t pos = eps.front().arrival;
-    std::size_t arrived = 0;  // eps[0, arrived) arrived by the event
+    std::unordered_map<std::uint32_t, std::size_t> slot_of;  // latest begun
+    std::size_t pos = eps.front().from;
+    std::size_t begun = 0;  // eps[0, begun) began by the event
     lg.for_each(pos, [&](const hist::event& e) {
       const std::size_t at = pos++;
-      while (arrived < eps.size() && eps[arrived].arrival <= at) ++arrived;
+      for (; begun < eps.size() && eps[begun].from <= at; ++begun) {
+        slot_of[eps[begun].id] = begun;
+      }
       if (e.kind == hist::event_kind::crash) {
-        for (std::size_t j = 0; j < arrived; ++j) eps[j].history->push_back(e);
+        for (std::size_t j = 0; j < begun; ++j) {
+          if (at < eps[j].to) eps[j].events->push_back(e);
+        }
         return;
       }
+      // An object's op events on a shard all fall in its stays there.
       const auto it = slot_of.find(e.desc.object);
-      if (it != slot_of.end() && it->second < arrived) take_op(it->second, e);
+      if (it != slot_of.end()) eps[it->second].events->push_back(e);
     });
   }
 
+  /// Concatenate an object's stays into one stream. Each stay's op events
+  /// are shifted past the largest client_seq the stream already holds for
+  /// the same pid. Each world numbers a process's ops from 1, so without
+  /// the shift a migrated object's stream would repeat (pid, client_seq)
+  /// pairs across stays and the checker's duplicate-completion suppression
+  /// (keyed on exactly that pair) could swallow a real completion. All
+  /// events of one stay shift uniformly, so invoke/response/recover stay
+  /// matched.
+  std::vector<hist::event> join_stays(
+      std::vector<std::vector<hist::event>>& stays) const {
+    std::vector<hist::event> out = std::move(stays.front());
+    if (stays.size() == 1) return out;
+    std::vector<std::uint64_t> top(static_cast<std::size_t>(pol_.nprocs), 0);
+    const auto note = [&](const hist::event& e) {
+      std::uint64_t& t = top[static_cast<std::size_t>(e.pid)];
+      t = std::max(t, e.desc.client_seq);
+    };
+    for (const hist::event& e : out) {
+      if (e.kind != hist::event_kind::crash) note(e);
+    }
+    for (std::size_t j = 1; j < stays.size(); ++j) {
+      const std::vector<std::uint64_t> base = top;
+      for (hist::event e : stays[j]) {
+        if (e.kind != hist::event_kind::crash) {
+          e.desc.client_seq += base[static_cast<std::size_t>(e.pid)];
+          note(e);
+        }
+        out.push_back(e);
+      }
+    }
+    return out;
+  }
+
+  /// A finished stay: the object lived on `shard` while its log ran over
+  /// [from, to).
+  struct stay {
+    int shard = 0;
+    std::size_t from = 0;
+    std::size_t to = 0;
+  };
+
   /// Everything the executor tracks per hosted object: how to rebuild it
   /// (kind/params), where it lives, its declaration index (range placement
-  /// and rebalancing key off it), and the history it carried from previous
-  /// homes.
+  /// and rebalancing key off it), and the stays migrate() ended.
   struct placed_object {
     std::string kind;
     object_params params;
     int shard = 0;
     std::size_t decl_index = 0;
     std::size_t arrival = 0;  // current shard's log length at arrival
-    std::vector<hist::event> prefix;
-    bool moved = false;  // has this object ever migrated?
+    std::vector<stay> stays;  // earlier homes, oldest first
   };
 
   exec_policy pol_;
@@ -610,8 +644,8 @@ class sharded_executor final : public executor {
   std::map<std::uint32_t, placed_object> placed_;
   /// Ops scheduled since the last run(), per pid, in script order.
   std::map<int, std::vector<hist::op_desc>> pending_;
-  /// Cumulative per-world programs (what each harness has been scripted).
-  std::vector<std::map<int, std::vector<hist::op_desc>>> installed_;
+  /// Per shard, per pid: has this world's program for the pid any op?
+  std::vector<std::vector<bool>> has_ops_;
   std::set<int> scripted_pids_;
   /// Per-shard log lengths at the end of each run() — the run coordinate of
   /// the merged-log order.

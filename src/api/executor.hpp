@@ -31,7 +31,9 @@
 //            migrate(id, shard) transplants an object to another world
 //            through its persistent NVM image and rebalance(policy) migrates
 //            everything to a new policy's assignment — the per-object
-//            histories stay checkable across moves.
+//            histories stay checkable across moves: a move records the stay
+//            it ends, and check() stitches each object's stays back
+//            together from the shard logs.
 //   threads  free-running real threads over the emulated NVM domain (the
 //            arena path): no simulator, no crashes, nondeterministic
 //            schedules — post-hoc per-object linearizability checking makes
@@ -127,7 +129,9 @@ class executor : public typed_adders<executor> {
   /// sharded backend splits them preserving per-shard program order).
   /// Calling script() again after run() *appends* to the process's program:
   /// the next run() executes only the newly scheduled ops — the multi-round
-  /// workload shape migration scenarios use (run, migrate, run again).
+  /// workload shape migration scenarios use (run, migrate, run again). Each
+  /// world keeps one program per pid and appends to it, so a round costs
+  /// what it scripts, not the program behind it.
   virtual void script(int pid, std::vector<hist::op_desc> ops) = 0;
 
   /// Drive every script to completion under the configured policy. Fresh
@@ -145,8 +149,12 @@ class executor : public typed_adders<executor> {
 
   /// Transplant `object_id` to `shard`, between runs: the object's
   /// base-object state and detectability metadata move to the target world's
-  /// runtime through the persistent (NVM) representation, and its history
-  /// carries over so check() stays sound across the move. A no-op when the
+  /// runtime through the persistent (NVM) representation. No history is
+  /// copied: the move records the stay it ends (source shard and the span of
+  /// that shard's log the object lived through), and check() projects each
+  /// object's stays in order, so the check stays sound across moves —
+  /// including a move back to a shard the object once left — while a move
+  /// costs the same however long the logs have grown. A no-op when the
   /// object already lives on `shard`. Throws std::invalid_argument off the
   /// sharded backend, for unknown ids, out-of-range shards, or an object
   /// with an announced-but-unrecovered operation.

@@ -97,6 +97,12 @@ class harness : public typed_adders<harness> {
     rt_->set_script(pid, std::move(ops));
   }
 
+  /// Append `ops` to pid's script (see core::runtime::extend_script): the
+  /// next run() executes only the appended ops.
+  void extend_script(int pid, const std::vector<hist::op_desc>& ops) {
+    rt_->extend_script(pid, ops);
+  }
+
   void set_fail_policy(core::runtime::fail_policy p) { rt_->set_fail_policy(p); }
 
   /// Drive all scripts to completion under the policy's scheduler and crash

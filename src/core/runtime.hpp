@@ -59,6 +59,16 @@ class runtime {
     scripts_[pid] = std::move(ops);
   }
 
+  /// Append `ops` to pid's script (creating an empty one first if pid has
+  /// none, so the pid gets a client task either way). Multi-round drivers
+  /// extend each world's program by the round's ops instead of re-installing
+  /// the whole cumulative program; `done_seq` resumes after the executed
+  /// prefix either way.
+  void extend_script(int pid, const std::vector<hist::op_desc>& ops) {
+    std::vector<hist::op_desc>& script = scripts_[pid];
+    script.insert(script.end(), ops.begin(), ops.end());
+  }
+
   void set_fail_policy(fail_policy p) { policy_ = p; }
 
   /// Submit the client task of every scripted process.

@@ -2,8 +2,12 @@
 //
 // The server feeds it one observation per batch round: how many ops each
 // object executed. The rebalancer keeps a sliding window of those
-// observations and, every `check_every` rounds, folds the window into a
-// per-shard load vector under the current object→shard assignment. When the
+// observations as one running per-object sum — each round adds its counts
+// and subtracts those of the round leaving the window — and, every
+// `check_every` rounds, folds the sum into a per-shard load vector under the
+// current object→shard assignment. Object ids index every table (the
+// server's ids are dense), so an evaluation costs one pass over the objects
+// however many rounds the window holds. When the
 // imbalance (api::load_ratio — max/ideal) stays at or above `hot_ratio` for
 // `sustain` consecutive evaluations, it plans a greedy repair: move the
 // hottest objects off the hottest shard onto the coldest one, each move
@@ -18,7 +22,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "api/placement.hpp"
@@ -54,21 +58,22 @@ class rebalancer {
 
   const rebalance_policy& policy() const noexcept { return pol_; }
 
-  /// Record one finished batch round's per-object executed-op counts.
-  void record_round(const std::map<std::uint32_t, std::uint64_t>& object_ops);
+  /// Record one finished batch round's executed-op counts, indexed by
+  /// object id.
+  void record_round(const std::vector<std::uint64_t>& object_ops);
 
-  /// The window's per-shard load under `homes` (object → current shard).
-  /// Objects missing from `homes` are ignored.
-  std::vector<std::uint64_t> window_load(
-      const std::map<std::uint32_t, int>& homes) const;
+  /// The window's per-shard load under `homes` (object id → current shard).
+  /// Objects past the end of `homes`, or homed outside [0, shards), are
+  /// ignored.
+  std::vector<std::uint64_t> window_load(const std::vector<int>& homes) const;
 
   /// Evaluate after record_round(). Returns a (possibly empty) move plan;
   /// non-empty only when enabled, the evaluation cadence is due, and the
-  /// imbalance has been sustained. Objects in `frozen` (e.g. with queued
-  /// but unscripted ops, which must not change home) are never planned.
-  std::vector<planned_move> maybe_plan(
-      const std::map<std::uint32_t, int>& homes,
-      const std::vector<std::uint32_t>& frozen = {});
+  /// imbalance has been sustained. Objects set in the `frozen` mask (e.g.
+  /// with queued but unscripted ops, which must not change home) are never
+  /// planned; objects past its end are not frozen.
+  std::vector<planned_move> maybe_plan(const std::vector<int>& homes,
+                                       const std::vector<bool>& frozen = {});
 
   /// The ratio computed by the last evaluation (0.0 before any).
   double last_ratio() const noexcept { return last_ratio_; }
@@ -76,7 +81,10 @@ class rebalancer {
  private:
   rebalance_policy pol_;
   int shards_;
-  std::deque<std::map<std::uint32_t, std::uint64_t>> window_;
+  /// The window's rounds, each as its (object, ops) entries with ops > 0 —
+  /// what record_round() subtracts from `sum_` when the round leaves.
+  std::deque<std::vector<std::pair<std::uint32_t, std::uint64_t>>> window_;
+  std::vector<std::uint64_t> sum_;  // per object: ops over the window
   std::uint64_t rounds_seen_ = 0;
   int hot_streak_ = 0;
   double last_ratio_ = 0.0;

@@ -48,7 +48,8 @@ server::server(serve_config cfg)
   ex_ = api::make_executor(cfg_.exec);
 
   queues_.resize(static_cast<std::size_t>(cfg_.exec.shards));
-  seq_.resize(static_cast<std::size_t>(cfg_.exec.shards));
+  lanes_.resize(static_cast<std::size_t>(cfg_.exec.shards) *
+                static_cast<std::size_t>(cfg_.exec.nprocs));
   shard_stats_.resize(static_cast<std::size_t>(cfg_.exec.shards));
   start_ = std::chrono::steady_clock::now();
 
@@ -75,7 +76,7 @@ session server::open_session() {
   rec.id = id;
   rec.pid = pid;
   rec.tokens = cfg_.session_tokens;
-  sessions_.emplace(id, rec);
+  sessions_.push_back(rec);
   return session(this, id, pid);
 }
 
@@ -84,14 +85,14 @@ api::object_handle server::add(const std::string& kind,
   std::lock_guard exec_lk(exec_mu_);
   api::object_handle h = ex_->add(kind, params);
   std::lock_guard lk(mu_);
+  if (h.id() >= homes_.size()) homes_.resize(h.id() + 1, -1);
   homes_[h.id()] = ex_->shard_of(h.id());
   return h;
 }
 
 server::session_record server::session_snapshot(std::uint64_t id) const {
   std::lock_guard lk(mu_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? session_record{} : it->second;
+  return id < sessions_.size() ? sessions_[id] : session_record{};
 }
 
 std::uint64_t server::now_tick_locked() const {
@@ -105,13 +106,12 @@ std::uint64_t server::now_tick_locked() const {
 submit_status server::submit(std::uint64_t session_id, const hist::op_desc& op,
                              completion_fn cb) {
   std::unique_lock lk(mu_);
-  auto sit = sessions_.find(session_id);
-  if (sit == sessions_.end()) {
+  if (session_id >= sessions_.size()) {
     ++submitted_;
     ++rejected_invalid_;
     return submit_status::invalid_op;
   }
-  session_record& rec = sit->second;
+  session_record& rec = sessions_[session_id];
   ++rec.submitted;
   ++submitted_;
 
@@ -120,20 +120,19 @@ submit_status server::submit(std::uint64_t session_id, const hist::op_desc& op,
     ++rejected_shutdown_;
     return submit_status::shutting_down;
   }
-  auto home = homes_.find(op.object);
-  if (home == homes_.end()) {
+  if (op.object >= homes_.size() || homes_[op.object] < 0) {
     ++rec.rejected;
     ++rejected_invalid_;
     return submit_status::invalid_op;
   }
-  const std::size_t k = static_cast<std::size_t>(home->second);
+  const std::size_t k = static_cast<std::size_t>(homes_[op.object]);
   if (queues_[k].size() >= cfg_.queue_high_water) {
     ++rec.rejected;
     ++rejected_queue_;
     ++shard_stats_[k].rejected_queue;
     return submit_status::overloaded;
   }
-  if (pending_total_ + inflight_.size() >= cfg_.global_inflight) {
+  if (pending_total_ + inflight_count_ >= cfg_.global_inflight) {
     ++rec.rejected;
     ++rejected_global_;
     return submit_status::overloaded;
@@ -175,17 +174,19 @@ bool server::batch_ready_locked() const {
 bool server::run_round() {
   std::unique_lock exec_lk(exec_mu_);
 
-  // Phase 1 (mu_): pop this round's batches, stamp (shard, pid, seq) keys,
-  // and build the per-process scripts. Seq numbers mirror the shard worlds'
+  // Phase 1 (mu_): pop this round's batches onto their (shard, pid) lanes
+  // and build the per-process scripts. Lane slots mirror the shard worlds'
   // client_seq numbering: each world numbers a pid's ops 1.. in script
   // order, and the executor routes a pid's ops to shard scripts preserving
   // the order scripted here.
-  std::map<int, std::vector<hist::op_desc>> scripts;
-  std::map<std::uint32_t, std::uint64_t> round_ops;
+  std::vector<std::vector<hist::op_desc>> scripts(
+      static_cast<std::size_t>(procs()));
+  std::vector<std::uint64_t> round_ops;
   std::uint64_t round_no = 0;
   {
     std::lock_guard lk(mu_);
     round_no = rounds_;
+    round_ops.assign(homes_.size(), 0);
     bool any = false;
     for (std::size_t k = 0; k < queues_.size(); ++k) {
       std::uint64_t took = 0;
@@ -195,16 +196,15 @@ bool server::run_round() {
         --pending_total_;
         ++took;
 
-        const std::uint64_t seq = ++seq_[k][p.pid];
         inflight_rec rec;
         rec.ticket = p.ticket;
         rec.session = p.session;
         rec.object = p.op.object;
         rec.cb = std::move(p.cb);
         rec.submit_tick = p.submit_tick;
-        inflight_.emplace(
-            inflight_key{static_cast<int>(k), p.pid, seq}, std::move(rec));
-        scripts[p.pid].push_back(p.op);
+        lane_of(static_cast<int>(k), p.pid).slots.push_back(std::move(rec));
+        ++inflight_count_;
+        scripts[static_cast<std::size_t>(p.pid)].push_back(p.op);
         ++round_ops[p.op.object];
       }
       if (took > 0) {
@@ -227,7 +227,10 @@ bool server::run_round() {
     ex_->reseed_crashes(std::get<0>(*cfg_.exec.crash_random) +
                         0x9E3779B97F4A7C15ULL * (round_no + 1));
   }
-  for (auto& [pid, ops] : scripts) ex_->script(pid, std::move(ops));
+  for (std::size_t pid = 0; pid < scripts.size(); ++pid) {
+    if (scripts[pid].empty()) continue;
+    ex_->script(static_cast<int>(pid), std::move(scripts[pid]));
+  }
   const sim::run_report rep = ex_->run();
   if (rep.hit_step_limit) {
     // Incomplete scripts mean lost completions; that is a configuration
@@ -253,15 +256,20 @@ bool server::run_round() {
           (e.kind == hist::event_kind::recover_result &&
            e.verdict == hist::recovery_verdict::linearized);
       if (!completes) continue;
-      auto home = homes_.find(e.desc.object);
-      if (home == homes_.end()) continue;
-      auto it = inflight_.find(
-          inflight_key{home->second, e.pid, e.desc.client_seq});
-      // A missing entry is the dedupe path: a response persisted, the crash
-      // landed before the client's done_seq store, and recovery re-reported
-      // the op as linearized — the first event already completed the ticket.
-      if (it == inflight_.end()) continue;
-      inflight_rec& rec = it->second;
+      if (e.desc.object >= homes_.size() || homes_[e.desc.object] < 0) {
+        continue;
+      }
+      lane& ln = lane_of(homes_[e.desc.object], e.pid);
+      // A seq below the lane's front, or a slot already done, is the dedupe
+      // path: a response persisted, the crash landed before the client's
+      // done_seq store, and recovery re-reported the op as linearized — the
+      // first event already completed the ticket.
+      if (e.desc.client_seq < ln.base ||
+          e.desc.client_seq - ln.base >= ln.slots.size()) {
+        continue;
+      }
+      inflight_rec& rec = ln.slots[e.desc.client_seq - ln.base];
+      if (rec.done) continue;
 
       completion c;
       c.ticket = rec.ticket;
@@ -271,13 +279,17 @@ bool server::run_round() {
       c.latency = now_tick_locked() - rec.submit_tick;
       lat_.record(c.latency);
       ++completed_;
-      auto sit = sessions_.find(rec.session);
-      if (sit != sessions_.end()) ++sit->second.completed;
+      ++sessions_[rec.session].completed;
       done.emplace_back(std::move(c), std::move(rec.cb));
-      inflight_.erase(it);
+      rec.done = true;
+      --inflight_count_;
+      while (!ln.slots.empty() && ln.slots.front().done) {
+        ln.slots.pop_front();
+        ++ln.base;
+      }
     }
 
-    for (auto& [id, rec] : sessions_) {
+    for (session_record& rec : sessions_) {
       rec.tokens = std::min(cfg_.session_tokens, rec.tokens + cfg_.session_refill);
     }
 
@@ -285,9 +297,9 @@ bool server::run_round() {
     // their queue slot encodes their home shard, which must hold until they
     // are scripted.
     reb_.record_round(round_ops);
-    std::vector<std::uint32_t> frozen;
+    std::vector<bool> frozen(homes_.size());
     for (const auto& q : queues_) {
-      for (const pending_op& p : q) frozen.push_back(p.op.object);
+      for (const pending_op& p : q) frozen[p.op.object] = true;
     }
     const std::vector<planned_move> plan = reb_.maybe_plan(homes_, frozen);
     for (const planned_move& m : plan) {
@@ -328,7 +340,8 @@ void server::drain() {
   }
   cv_work_.notify_all();
   std::unique_lock lk(mu_);
-  cv_drained_.wait(lk, [&] { return pending_total_ == 0 && inflight_.empty(); });
+  cv_drained_.wait(lk,
+                   [&] { return pending_total_ == 0 && inflight_count_ == 0; });
 }
 
 void server::shutdown() {
@@ -371,7 +384,7 @@ stats server::snapshot() const {
   s.submitted = submitted_;
   s.admitted = admitted_;
   s.completed = completed_;
-  s.inflight = pending_total_ + inflight_.size();
+  s.inflight = pending_total_ + inflight_count_;
   s.rejected_queue = rejected_queue_;
   s.rejected_session_tokens = rejected_tokens_;
   s.rejected_global = rejected_global_;

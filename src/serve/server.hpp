@@ -20,20 +20,29 @@
 //               (executor::events_since), in merged-log order: a `response`
 //               — or a `recover_result(linearized)` for an op whose response
 //               was lost to a crash — completes the matching inflight
-//               ticket, keyed by (shard, pid, client_seq). Matching costs
-//               what the round appended, not the history before it.
-//               A duplicate completion (response persisted, then the crash
-//               landed before the client's done_seq store, so recovery
-//               re-reports it) is deduplicated by the ticket erase: first
-//               event wins, callbacks fire exactly once. The executor runs
+//               ticket. Tickets wait in one lane per (shard, pid): a deque
+//               in the world's client_seq order plus the seq of its front
+//               slot, so an event indexes its slot directly and completed
+//               slots pop off the front. Matching costs what the round
+//               appended, not the history before it. A duplicate completion
+//               (response persisted, then the crash landed before the
+//               client's done_seq store, so recovery re-reports it) finds
+//               its slot already done, or popped: first event wins,
+//               callbacks fire exactly once. The executor runs
 //               fail_policy::retry, so every admitted op eventually
 //               completes — crashes delay completions, never drop them.
-//   rebalance   A serve::rebalancer watches per-shard op-load windows;
-//               sustained imbalance triggers executor::migrate() calls
-//               between rounds (the quiescent point), each move logged into
-//               serve::stats. Objects with queued-but-unscripted ops are
-//               frozen for the cycle — their queue position encodes their
-//               home shard, which therefore must not change under them.
+//   rebalance   A serve::rebalancer keeps a running per-object op sum over
+//               a window of rounds; sustained per-shard imbalance triggers
+//               executor::migrate() calls between rounds (the quiescent
+//               point), each move logged into serve::stats. A move copies
+//               no history (the executor records the stay it ends).
+//               Objects with queued-but-unscripted ops are frozen for the
+//               cycle — their queue position encodes their home shard,
+//               which therefore must not change under them.
+//
+// Object ids are dense (add() takes the executor's next id), so every
+// per-object table here — homes, a round's op counts, the frozen mask — is
+// a vector indexed by id.
 //
 // Two operating modes, one code path:
 //   deterministic (default)  no background thread; the caller turns the
@@ -49,12 +58,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "api/executor.hpp"
@@ -195,13 +202,25 @@ class server : public api::typed_adders<server> {
     std::uint32_t object = 0;
     completion_fn cb;
     std::uint64_t submit_tick = 0;
+    bool done = false;
   };
 
-  // (shard, pid, client_seq) — the executor's per-world numbering, which is
-  // exactly what response/recover events carry. Safe as a key because an
-  // object's home shard is stable from admission to scripting (queued
-  // objects are frozen against moves).
-  using inflight_key = std::tuple<int, int, std::uint64_t>;
+  /// The inflight ops one pid has on one shard's world, in that world's
+  /// client_seq numbering — exactly what response/recover events carry:
+  /// slot i holds seq `base + i`, so the next scripted op takes seq
+  /// `base + slots.size()`. Safe to index by the object's home shard
+  /// because that home is stable from admission to scripting (queued
+  /// objects are frozen against moves), and a round's events are matched
+  /// before its moves.
+  struct lane {
+    std::deque<inflight_rec> slots;
+    std::uint64_t base = 1;  // each world numbers a pid's ops from 1
+  };
+  lane& lane_of(int shard, int pid) {
+    return lanes_[static_cast<std::size_t>(shard) *
+                      static_cast<std::size_t>(cfg_.exec.nprocs) +
+                  static_cast<std::size_t>(pid)];
+  }
 
   submit_status submit(std::uint64_t session_id, const hist::op_desc& op,
                        completion_fn cb);
@@ -232,12 +251,12 @@ class server : public api::typed_adders<server> {
   std::uint64_t next_session_ = 0;
   std::uint64_t next_ticket_ = 0;
 
-  std::map<std::uint64_t, session_record> sessions_;
+  std::vector<session_record> sessions_;        // by session id
   std::vector<std::deque<pending_op>> queues_;  // per shard, arrival order
   std::size_t pending_total_ = 0;
-  std::map<inflight_key, inflight_rec> inflight_;
-  std::vector<std::map<int, std::uint64_t>> seq_;  // per shard: pid → count
-  std::map<std::uint32_t, int> homes_;             // object → current shard
+  std::vector<lane> lanes_;  // by shard * procs + pid
+  std::size_t inflight_count_ = 0;  // scripted, not yet completed
+  std::vector<int> homes_;          // object → current shard (-1: none)
   /// Where completion matching stopped reading each shard's log.
   std::vector<std::size_t> event_cursor_;
 

@@ -224,6 +224,42 @@ TEST(executor_sharded, single_object_run_is_identical_to_single_backend) {
   EXPECT_EQ(single->log_text(), sharded->log_text());
 }
 
+// Whichever shard hosts the only object, and with one process's script
+// emptied (as the shrinker leaves them), the sharded log equals the single
+// one byte for byte: the emptied pid's client task runs in the world that
+// hosts the scripted ops, as it does in the single world, so both worlds
+// draw the same schedule and meet a crash at the same point.
+TEST(executor_sharded, emptied_script_matches_single_on_every_shard) {
+  const std::uint64_t seed = 9275318442250601194ULL;
+  for (const std::string& kind : api::object_registry::global().kinds()) {
+    for (int home = 0; home < 3; ++home) {
+      for (bool crashy : {false, true}) {
+        auto scripted = [&](api::executor::builder b) {
+          b.procs(3).seed(seed);
+          if (crashy) b.crash_at({38});
+          auto ex = b.build();
+          api::object_handle h = ex->add_as(0, kind);
+          ex->script(0, api::smoke_script(h.family(), 0, 0));
+          ex->script(1, {});
+          ex->script(2, api::smoke_script(h.family(), 0, 2));
+          ex->run();
+          return ex->log_text();
+        };
+        const std::string single =
+            scripted(api::executor::builder().backend(exec_backend::single));
+        const std::string sharded =
+            scripted(api::executor::builder()
+                         .backend(exec_backend::sharded)
+                         .shards(3)
+                         .placement(api::pinned_placement({{0, home}})));
+        EXPECT_EQ(single, sharded)
+            << kind << " on shard " << home << (crashy ? " with" : " without")
+            << " a crash";
+      }
+    }
+  }
+}
+
 // log_text() is the shared formatter over events(): on the sharded backend
 // that is the merged log, crash and recovery events included.
 TEST(executor_backends, log_text_formats_the_event_log) {
@@ -780,6 +816,38 @@ TEST(migration, history_stays_checkable_under_crashy_rounds) {
   hist::check_result check = ex->check();
   EXPECT_TRUE(check.ok) << check.message;
   EXPECT_GE(check.objects, 1u);
+}
+
+// A counter leaves shard 0 and comes back over three crashy rounds, next
+// to a counter that never moves: its stream joins a stay on shard 0, one on
+// shard 1, and a second stay on shard 0, each with that world's crashes.
+TEST(migration, an_object_can_return_to_a_shard_it_left) {
+  auto ex = api::executor::builder()
+                .backend(exec_backend::sharded)
+                .shards(2)
+                .procs(2)
+                .seed(21)
+                .fail_policy(core::runtime::fail_policy::retry)
+                .crash_random(5, 0.05, 2)
+                .placement(api::pinned_placement({{0, 0}, {1, 0}}))
+                .build();
+  api::counter mover = ex->add_counter();
+  api::counter fixed = ex->add_counter();
+  std::uint64_t crashes = 0;
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) ex->migrate(mover.id(), round % 2);
+    ex->reseed_crashes(100 + static_cast<std::uint64_t>(round));
+    ex->script(0, {mover.add(1), fixed.add(2), mover.read()});
+    ex->script(1, {fixed.add(1), mover.add(3), fixed.read()});
+    crashes += ex->run().crashes;
+  }
+  EXPECT_EQ(ex->shard_of(mover.id()), 0);
+  EXPECT_EQ(ex->shard_of(fixed.id()), 0);
+  EXPECT_GE(crashes, 1u);
+  hist::check_result check = ex->check();
+  EXPECT_TRUE(check.ok) << check.message;
+  EXPECT_EQ(check.objects, 2u);
+  EXPECT_EQ(check.nodes, 18u);  // as when migrate() copied the history
 }
 
 // The ISSUE acceptance bar: the state transplant round-trips for every

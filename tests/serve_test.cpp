@@ -50,15 +50,15 @@ TEST(serve_rebalancer, plans_only_on_sustained_imbalance) {
   pol.sustain = 2;
   pol.max_moves = 2;
   serve::rebalancer reb(pol, 2);
-  const std::map<std::uint32_t, int> homes = {{0, 0}, {1, 0}, {2, 1}};
+  const std::vector<int> homes = {0, 0, 1};
 
   // First hot evaluation: streak 1 of 2 — no plan yet.
-  reb.record_round({{0, 10}, {1, 10}});
+  reb.record_round({10, 10});
   EXPECT_TRUE(reb.maybe_plan(homes).empty());
   EXPECT_GE(reb.last_ratio(), 1.5);
 
   // Sustained: the plan fires and strictly narrows the hot-cold gap.
-  reb.record_round({{0, 10}, {1, 10}});
+  reb.record_round({10, 10});
   std::vector<serve::planned_move> plan = reb.maybe_plan(homes);
   ASSERT_EQ(plan.size(), 1u);  // moving both would just swap the hot shard
   EXPECT_EQ(plan[0].from, 0);
@@ -66,9 +66,9 @@ TEST(serve_rebalancer, plans_only_on_sustained_imbalance) {
 
   // A balanced window never builds a streak.
   serve::rebalancer reb2(pol, 2);
-  reb2.record_round({{0, 10}, {2, 10}});
+  reb2.record_round({10, 0, 10});
   EXPECT_TRUE(reb2.maybe_plan(homes).empty());
-  reb2.record_round({{0, 10}, {2, 10}});
+  reb2.record_round({10, 0, 10});
   EXPECT_TRUE(reb2.maybe_plan(homes).empty());
   EXPECT_DOUBLE_EQ(reb2.last_ratio(), 1.0);
 }
@@ -82,11 +82,11 @@ TEST(serve_rebalancer, respects_frozen_objects_and_the_disabled_gate) {
   pol.sustain = 1;
   pol.max_moves = 8;
   serve::rebalancer reb(pol, 2);
-  const std::map<std::uint32_t, int> homes = {{0, 0}, {1, 0}, {2, 0}, {3, 1}};
+  const std::vector<int> homes = {0, 0, 0, 1};
 
-  reb.record_round({{0, 8}, {1, 6}, {2, 4}});
+  reb.record_round({8, 6, 4});
   // Freezing the heaviest object forces the planner onto lighter candidates.
-  std::vector<serve::planned_move> plan = reb.maybe_plan(homes, {0});
+  std::vector<serve::planned_move> plan = reb.maybe_plan(homes, {true});
   ASSERT_FALSE(plan.empty());
   for (const serve::planned_move& m : plan) EXPECT_NE(m.object, 0u);
 
@@ -95,9 +95,35 @@ TEST(serve_rebalancer, respects_frozen_objects_and_the_disabled_gate) {
   serve::rebalance_policy off = pol;
   off.enabled = false;
   serve::rebalancer noop(off, 2);
-  noop.record_round({{0, 100}});
+  noop.record_round({100});
   EXPECT_TRUE(noop.maybe_plan(homes).empty());
   EXPECT_DOUBLE_EQ(noop.last_ratio(), 2.0);
+}
+
+// A round that leaves the window leaves the load: one hot round followed by
+// two balanced ones reads perfectly balanced under a 2-round window. A
+// running sum that forgot to subtract the evicted round would read shard 0
+// at 80 of 100 ops (ratio 1.6) and plan a move.
+TEST(serve_rebalancer, evicted_rounds_leave_the_window_load) {
+  serve::rebalance_policy pol;
+  pol.enabled = true;
+  pol.window = 2;
+  pol.check_every = 3;  // evaluate once, after the third round
+  pol.hot_ratio = 1.5;
+  pol.sustain = 1;
+  pol.max_moves = 4;
+  serve::rebalancer reb(pol, 2);
+  const std::vector<int> homes = {0, 0, 1};
+
+  reb.record_round({30, 30, 0});  // hot: everything on shard 0
+  EXPECT_TRUE(reb.maybe_plan(homes).empty());  // not due yet
+  reb.record_round({5, 5, 10});
+  EXPECT_TRUE(reb.maybe_plan(homes).empty());  // not due yet
+  reb.record_round({5, 5, 10});
+  EXPECT_TRUE(reb.maybe_plan(homes).empty());
+  EXPECT_DOUBLE_EQ(reb.last_ratio(), 1.0);
+  const std::vector<std::uint64_t> load = reb.window_load(homes);
+  EXPECT_EQ(load, (std::vector<std::uint64_t>{20, 20}));
 }
 
 // ---- program order & exact-once completions ---------------------------------
