@@ -252,13 +252,63 @@ TEST(aux_necessity, d_branch_is_benign_for_all) {
   // answer there — that is exactly why the two branches are indistinguishable
   // and auxiliary state is needed to tell them apart.
   for (bool stripped : {false, true}) {
-    auto reg = theory::run_d_branch(theory::register_scenario(stripped));
-    EXPECT_FALSE(reg.violation) << "register stripped=" << stripped << "\n"
-                                << reg.detail;
-    EXPECT_EQ(reg.verdict, hist::recovery_verdict::linearized);
+    for (const theory::aux_scenario& s :
+         {theory::register_scenario(stripped), theory::cas_scenario(stripped),
+          theory::queue_scenario(stripped),
+          theory::counter_scenario(stripped)}) {
+      auto out = theory::run_d_branch(s);
+      EXPECT_FALSE(out.violation) << s.name << "\n" << out.detail;
+      EXPECT_EQ(out.verdict, hist::recovery_verdict::linearized) << s.name;
+    }
   }
   auto mr = theory::run_d_branch(theory::max_register_scenario());
   EXPECT_FALSE(mr.violation) << mr.detail;
+}
+
+// Every scenario's full outcome on both branches: what the checker says, what
+// recovery claims (and returns), and what the final probe reads.
+TEST(aux_necessity, outcomes_pinned_on_both_branches) {
+  using v = hist::recovery_verdict;
+  constexpr hist::value_t bot = hist::k_bottom;
+  struct pin {
+    theory::aux_scenario scenario;
+    bool e_branch;
+    bool violation;
+    v verdict;
+    hist::value_t recovered_value;
+    hist::value_t probe_response;
+  };
+  const std::vector<pin> pins = {
+      {theory::register_scenario(false), false, false, v::linearized, 0, 0},
+      {theory::register_scenario(false), true, false, v::fail, bot, 0},
+      {theory::register_scenario(true), false, false, v::linearized, 0, 0},
+      {theory::register_scenario(true), true, true, v::linearized, 0, 0},
+      {theory::cas_scenario(false), false, false, v::linearized, 1, 1},
+      {theory::cas_scenario(false), true, false, v::fail, bot, 1},
+      {theory::cas_scenario(true), false, false, v::linearized, 1, 1},
+      {theory::cas_scenario(true), true, true, v::linearized, 1, 1},
+      {theory::queue_scenario(false), false, false, v::linearized, 10, 10},
+      {theory::queue_scenario(false), true, false, v::fail, bot, 10},
+      {theory::queue_scenario(true), false, false, v::linearized, 10, 10},
+      {theory::queue_scenario(true), true, true, v::linearized, 10, 10},
+      {theory::counter_scenario(false), false, false, v::linearized, 0, 1},
+      {theory::counter_scenario(false), true, false, v::fail, bot, 1},
+      {theory::counter_scenario(true), false, false, v::linearized, 0, 1},
+      {theory::counter_scenario(true), true, true, v::linearized, 0, 1},
+      {theory::max_register_scenario(), false, false, v::linearized, 0, 5},
+      {theory::max_register_scenario(), true, false, v::linearized, 0, 5},
+  };
+  for (const pin& p : pins) {
+    const theory::aux_outcome out = p.e_branch
+                                        ? theory::run_e_branch(p.scenario)
+                                        : theory::run_d_branch(p.scenario);
+    const std::string where =
+        p.scenario.name + (p.e_branch ? " E-branch" : " D-branch");
+    EXPECT_EQ(out.violation, p.violation) << where << "\n" << out.detail;
+    EXPECT_EQ(out.verdict, p.verdict) << where;
+    EXPECT_EQ(out.recovered_value, p.recovered_value) << where;
+    EXPECT_EQ(out.probe_response, p.probe_response) << where;
+  }
 }
 
 }  // namespace
