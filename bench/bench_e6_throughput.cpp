@@ -1,14 +1,16 @@
-// E6 — The runtime cost of detectability (google-benchmark), plus the
-// backend×shards throughput sweep of the executor redesign.
+// E6 — The runtime cost of detectability, plus the backend×shards throughput
+// sweep of the executor redesign.
 //
 // The paper notes (§6) that detectability "comes with a price tag in terms
 // of space complexity and the need to provide auxiliary state"; this
 // experiment quantifies the *time* overhead on real threads: plain objects
-// vs Algorithms 1-2 vs the unbounded-id baselines, free-running over the
-// detect::api::arena (no simulator hook, emulated NVM in private-cache
-// mode). Objects are instantiated from the registry by kind string.
+// vs Algorithms 1-2 vs the unbounded-id baselines, free-running on a bare
+// emulated NVM domain and announcement board (no simulator hook,
+// private-cache mode). Objects are instantiated from the registry by kind
+// string, and each per-object row is one fixed-iteration timed loop per
+// thread: 100,000 iterations, or 200 under DETECT_SMOKE.
 //
-// Before the per-object benchmarks, main() runs a throughput sweep over the
+// Before the per-object rows, main() runs a throughput sweep over the
 // api::executor backends (single, sharded with a --shards list under each
 // placement policy, threads) on one scripted multi-counter workload and
 // writes the machine-readable BENCH_e6.json (ops/sec plus the per-shard
@@ -17,17 +19,8 @@
 //
 //   bench_e6_throughput --shards 1,2,4 --sweep-procs 8 --sweep-ops 2000
 //                       --json BENCH_e6.json     # all defaults shown
-//   DETECT_SMOKE=1 bench_e6_throughput           # tiny sweep parameters
-//
-// Builds against google-benchmark when installed; otherwise CMake defines
-// DETECT_USE_MINI_BENCH and the vendored fixed-iteration timer loop in
-// mini_bench.hpp provides the same API subset.
-#ifdef DETECT_USE_MINI_BENCH
-#include "mini_bench.hpp"
-#else
-#include <benchmark/benchmark.h>
-#endif
-
+//   DETECT_SMOKE=1 bench_e6_throughput           # tiny parameters
+//   bench_e6_throughput --no-sweep               # per-object rows only
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -39,129 +32,137 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "bench_util.hpp"
 
 namespace {
 
 using namespace detect;
 
+// ---------------------------------------------------------------------------
+// Per-object rows: the time cost of detectability.
+
+/// Announcement slots of every row's board; rows use the first `threads`.
 constexpr int k_max_threads = 16;
 
-// Shared per-benchmark state, rebuilt by thread 0 at the start of each run.
-// Sibling threads synchronize on g_obj_ptr (release-publish / acquire-spin):
-// code before google-benchmark's measurement loop runs unsynchronized, so
-// they must not touch g_arena/the object until thread 0 has published it.
-// Descriptors need no shared state at all — each benchmark uses one object
-// and a default-constructed handle already carries its id (0).
-api::arena* g_arena = nullptr;
-std::atomic<core::detectable_object*> g_obj_ptr{nullptr};
-std::atomic<int> g_done{0};
+/// What one iteration invokes, and the items it counts.
+enum class op_pair {
+  write_read,  // write(pid), read — 2 items
+  read_cas,    // read, compare_and_set(cur, cur + 1) — 1 item
+  add,         // add(1) — 1 item
+  write_max,   // write_max(++v) — 1 item
+};
 
-core::detectable_object& setup(benchmark::State& state, const char* kind) {
-  if (state.thread_index() == 0) {
-    g_done.store(0, std::memory_order_relaxed);
-    g_arena = new api::arena(k_max_threads);
-    api::object_handle obj = g_arena->add(kind);
-    g_obj_ptr.store(&obj.object(), std::memory_order_release);
-  } else {
-    while (g_obj_ptr.load(std::memory_order_acquire) == nullptr) {
-      std::this_thread::yield();
+struct object_row {
+  const char* kind;
+  op_pair ops;
+  std::vector<int> threads;
+};
+
+const object_row k_object_rows[] = {
+    {"plain_reg", op_pair::write_read, {1, 2, 4}},
+    {"reg", op_pair::write_read, {1, 2, 4}},
+    {"attiya_reg", op_pair::write_read, {1, 2, 4}},
+    {"plain_cas", op_pair::read_cas, {1, 2, 4}},
+    {"cas", op_pair::read_cas, {1, 2, 4}},
+    {"bendavid_cas", op_pair::read_cas, {1, 2, 4}},
+    {"counter", op_pair::add, {1, 2}},
+    {"max_reg", op_pair::write_max, {1, 2}},
+};
+
+/// `iters` iterations of `ops` by `pid`; returns the items processed. When
+/// the object asks for it, every invocation is preceded by the caller-side
+/// auxiliary reset (Ann_p.resp := ⊥, Ann_p.CP := 0) — part of the protocol
+/// being measured for detectable objects. Plain objects and Algorithm 3 need
+/// none: exactly the cost gap E6 quantifies.
+std::int64_t run_thread(core::detectable_object& obj,
+                        core::announcement_board& board, op_pair ops, int pid,
+                        std::int64_t iters) {
+  const bool aux = obj.wants_aux_reset();
+  core::ann_fields& ann = board.of(pid);
+  auto invoke = [&](const hist::op_desc& op) {
+    if (aux) {
+      ann.resp.store(hist::k_bottom);
+      ann.cp.store(0);
+    }
+    return obj.invoke(pid, op);
+  };
+  switch (ops) {
+    case op_pair::write_read: {
+      api::reg r;  // descriptor builder for object id 0
+      const hist::op_desc wr = r.write(pid);
+      const hist::op_desc rd = r.read();
+      for (std::int64_t i = 0; i < iters; ++i) {
+        invoke(wr);
+        invoke(rd);
+      }
+      return 2 * iters;
+    }
+    case op_pair::read_cas: {
+      api::cas c;
+      for (std::int64_t i = 0; i < iters; ++i) {
+        const hist::value_t cur = invoke(c.read());
+        invoke(c.compare_and_set(cur, cur + 1));
+      }
+      return iters;
+    }
+    case op_pair::add: {
+      api::counter c;
+      const hist::op_desc op = c.add(1);
+      for (std::int64_t i = 0; i < iters; ++i) invoke(op);
+      return iters;
+    }
+    case op_pair::write_max: {
+      api::max_reg m;
+      std::int64_t v = 0;
+      for (std::int64_t i = 0; i < iters; ++i) invoke(m.write_max(++v));
+      return iters;
     }
   }
-  return *g_obj_ptr.load(std::memory_order_acquire);
+  return 0;
 }
 
-void teardown(benchmark::State& state) {
-  g_done.fetch_add(1, std::memory_order_acq_rel);
-  if (state.thread_index() == 0) {
-    // Free the arena only once every sibling is done with the object.
-    while (g_done.load(std::memory_order_acquire) != state.threads()) {
-      std::this_thread::yield();
-    }
-    g_obj_ptr.store(nullptr, std::memory_order_release);
-    delete g_arena;
-    g_arena = nullptr;
+/// One fresh object of `row.kind` on its own domain and board, driven by
+/// `threads` real threads (the calling thread is pid 0). The clock starts
+/// once every worker is up, and all threads start together.
+void run_object_row(const object_row& row, int threads, std::int64_t iters) {
+  nvm::pmem_domain dom;
+  core::announcement_board board(k_max_threads, dom);
+  api::created_object created = api::object_registry::global().create(
+      row.kind, {k_max_threads, board, dom});
+  core::detectable_object& obj = created.primary();
+
+  std::atomic<int> waiting{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 1; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      waiting.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      run_thread(obj, board, row.ops, t, iters);
+    });
   }
+  while (waiting.load() != threads - 1) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  // Every thread processes as many items as pid 0.
+  const std::int64_t total = threads * run_thread(obj, board, row.ops, 0, iters);
+  for (std::thread& w : workers) w.join();
+  const auto stop = std::chrono::steady_clock::now();
+
+  const double secs = std::chrono::duration<double>(stop - start).count();
+  std::printf("%-14s threads=%d  %10lld items  %8.4f s  %14.0f items/s\n",
+              row.kind, threads, static_cast<long long>(total), secs,
+              secs > 0 ? static_cast<double>(total) / secs : 0.0);
+  std::fflush(stdout);
 }
 
-// The caller-side auxiliary resets (Ann_p.resp := ⊥, Ann_p.CP := 0) are part
-// of the protocol being measured for detectable objects; plain objects need
-// none — exactly the cost gap E6 quantifies.
-
-void bm_register_family(benchmark::State& state, const char* kind,
-                        bool aux_resets) {
-  core::detectable_object& obj = setup(state, kind);
-  int pid = state.thread_index();
-  api::reg r;  // descriptor builder for object id 0
-  hist::op_desc wr = r.write(pid);
-  hist::op_desc rd = r.read();
-  for (auto _ : state) {
-    if (aux_resets) g_arena->reset_aux(pid);
-    obj.invoke(pid, wr);
-    if (aux_resets) g_arena->reset_aux(pid);
-    benchmark::DoNotOptimize(obj.invoke(pid, rd));
+void run_object_rows(std::int64_t iters) {
+  std::printf("== per-object throughput (real threads, %lld iterations per "
+              "thread) ==\n",
+              static_cast<long long>(iters));
+  for (const object_row& row : k_object_rows) {
+    for (int threads : row.threads) run_object_row(row, threads, iters);
   }
-  state.SetItemsProcessed(state.iterations() * 2);
-  teardown(state);
-}
-
-void bm_cas_family(benchmark::State& state, const char* kind, bool aux_resets) {
-  core::detectable_object& obj = setup(state, kind);
-  int pid = state.thread_index();
-  api::cas c;  // descriptor builder for object id 0
-  for (auto _ : state) {
-    if (aux_resets) g_arena->reset_aux(pid);
-    hist::value_t cur = obj.invoke(pid, c.read());
-    if (aux_resets) g_arena->reset_aux(pid);
-    benchmark::DoNotOptimize(obj.invoke(pid, c.compare_and_set(cur, cur + 1)));
-  }
-  state.SetItemsProcessed(state.iterations());
-  teardown(state);
-}
-
-void bm_plain_register(benchmark::State& state) {
-  bm_register_family(state, "plain_reg", /*aux_resets=*/false);
-}
-void bm_detectable_register(benchmark::State& state) {
-  bm_register_family(state, "reg", /*aux_resets=*/true);
-}
-void bm_attiya_register(benchmark::State& state) {
-  bm_register_family(state, "attiya_reg", /*aux_resets=*/true);
-}
-
-void bm_plain_cas(benchmark::State& state) {
-  bm_cas_family(state, "plain_cas", /*aux_resets=*/false);
-}
-void bm_detectable_cas(benchmark::State& state) {
-  bm_cas_family(state, "cas", /*aux_resets=*/true);
-}
-void bm_bendavid_cas(benchmark::State& state) {
-  bm_cas_family(state, "bendavid_cas", /*aux_resets=*/true);
-}
-
-void bm_detectable_counter(benchmark::State& state) {
-  core::detectable_object& obj = setup(state, "counter");
-  int pid = state.thread_index();
-  api::counter c;  // descriptor builder for object id 0
-  hist::op_desc op = c.add(1);
-  for (auto _ : state) {
-    g_arena->reset_aux(pid);
-    benchmark::DoNotOptimize(obj.invoke(pid, op));
-  }
-  state.SetItemsProcessed(state.iterations());
-  teardown(state);
-}
-
-void bm_max_register(benchmark::State& state) {
-  core::detectable_object& obj = setup(state, "max_reg");
-  int pid = state.thread_index();
-  api::max_reg m;  // descriptor builder for object id 0
-  std::int64_t v = 0;
-  for (auto _ : state) {
-    // Algorithm 3 needs no auxiliary resets at all — §5's separation.
-    benchmark::DoNotOptimize(obj.invoke(pid, m.write_max(++v)));
-  }
-  state.SetItemsProcessed(state.iterations());
-  teardown(state);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,27 +341,15 @@ bool parse_shard_list(const char* text, std::vector<int>* out) {
 
 }  // namespace
 
-BENCHMARK(bm_plain_register)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-BENCHMARK(bm_detectable_register)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-BENCHMARK(bm_attiya_register)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-BENCHMARK(bm_plain_cas)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-BENCHMARK(bm_detectable_cas)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-BENCHMARK(bm_bendavid_cas)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-BENCHMARK(bm_detectable_counter)->Threads(1)->Threads(2)->UseRealTime();
-BENCHMARK(bm_max_register)->Threads(1)->Threads(2)->UseRealTime();
-
-// Custom main: run the backend×shards sweep first (consuming its flags),
-// then hand the remaining argv to the benchmark library.
+// The backend×shards sweep first, then the per-object rows.
 int main(int argc, char** argv) {
   sweep_cfg cfg;
-  if (std::getenv("DETECT_SMOKE") != nullptr) {
+  if (bench::smoke()) {
     cfg.shard_counts = {1, 2};
     cfg.procs = 4;
     cfg.ops_per_proc = 100;
   }
   bool sweep = true;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -384,7 +373,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-sweep") == 0) {
       sweep = false;
     } else {
-      rest.push_back(argv[i]);
+      std::fprintf(stderr, "bench_e6: unknown argument '%s'\n", argv[i]);
+      return 2;
     }
   }
   if (cfg.procs < 1 || cfg.ops_per_proc < 1) {
@@ -392,17 +382,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (sweep) run_shards_sweep(cfg);
-
-  int rest_argc = static_cast<int>(rest.size());
-#ifdef DETECT_USE_MINI_BENCH
-  return benchmark::internal::run_all(rest_argc, rest.data());
-#else
-  benchmark::Initialize(&rest_argc, rest.data());
-  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  run_object_rows(bench::smoke() ? 200 : 100'000);
   return 0;
-#endif
 }

@@ -1,5 +1,5 @@
-// Shared helpers for the experiment binaries: fixed-width table printing and
-// a tiny free-running workload driver (no simulator, real threads).
+// Shared helpers for the experiment binaries: the DETECT_SMOKE switch and
+// fixed-width table printing.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +27,10 @@ std::vector<T> sweep(std::vector<T> full, std::size_t smoke_prefix) {
   return full;
 }
 
-/// Print a row of fixed-width columns.
+/// Print a row of fixed-width columns. A cell that fills its column still
+/// gets one space before the next.
 inline void row(const std::vector<std::string>& cells, int width = 14) {
-  for (const std::string& c : cells) std::printf("%-*s", width, c.c_str());
+  for (const std::string& c : cells) std::printf("%-*s ", width - 1, c.c_str());
   std::printf("\n");
 }
 

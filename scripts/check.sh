@@ -103,16 +103,15 @@ stage_fuzz() {            # $1 = build dir, $2 = iterations, $3.. = extra flags
 }
 
 stage_bench_smoke() {     # $1 = build dir
-  # DETECT_SMOKE shrinks the E1/E2/E9 sweeps; DETECT_BENCH_ITERS bounds the
-  # mini_bench fallback of E6 (ignored when real google-benchmark is linked).
-  # The binary set comes from what CMake built (DETECT_BENCHES + E6), so a
+  # DETECT_SMOKE shrinks the E1/E2/E9 sweeps and E6's sweep and per-object
+  # loops. The binary set comes from what CMake built (DETECT_BENCHES), so a
   # new E-binary is picked up here without touching this script.
   local b found=0
   for b in "$1"/bench_e*; do
     [[ -x "$b" ]] || continue
     found=1
     echo "== bench-smoke: $(basename "$b") =="
-    DETECT_SMOKE=1 DETECT_BENCH_ITERS="${DETECT_BENCH_ITERS:-200}" "$b"
+    DETECT_SMOKE=1 "$b"
   done
   if [[ "$found" == 0 ]]; then
     echo "bench-smoke: no bench_e* binaries in $1" >&2

@@ -1,5 +1,5 @@
 // Implementation of the detect::api façade: the built-in kind registry and
-// the harness/arena wiring.
+// the harness wiring.
 #include "api/api.hpp"
 
 #include <algorithm>
@@ -402,18 +402,6 @@ void harness::drive_all() {
     if (ready.empty()) return;
     world_->step(ready.front());
   }
-}
-
-// ---------------------------------------------------------------------------
-// arena
-
-object_handle arena::add(const std::string& kind, const object_params& params) {
-  const kind_info& info = object_registry::global().at(kind);
-  object_env env{nprocs_, board_, dom_};
-  created_object created = info.make(env, params);
-  core::detectable_object& primary = created.primary();
-  for (auto& obj : created.owned) objects_.push_back(std::move(obj));
-  return object_handle(next_id_++, info.family, &primary, kind);
 }
 
 }  // namespace detect::api

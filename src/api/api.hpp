@@ -2,8 +2,7 @@
 //
 //   handles.hpp   typed object handles building op_desc values
 //   registry.hpp  kind-string → factory registry (object_registry)
-//   harness.hpp   the harness builder wiring world/board/log/runtime,
-//                 plus the free-running arena for real-thread benches
+//   harness.hpp   the harness builder wiring world/board/log/runtime
 //   executor.hpp  pluggable execution backends (single / sharded / threads)
 //                 behind one builder policy
 //   replay.hpp    replayable scripted scenarios: replay/dump/parse and the

@@ -657,8 +657,8 @@ class sharded_executor final : public executor {
 };
 
 // ---------------------------------------------------------------------------
-// threads — free-running real threads (the arena path), with post-hoc
-// per-object checking: a lincheck-style stress driver.
+// threads — free-running real threads over a bare domain and board, with
+// post-hoc per-object checking: a lincheck-style stress driver.
 
 class threads_executor final : public executor {
  public:

@@ -34,8 +34,8 @@
 //            histories stay checkable across moves: a move records the stay
 //            it ends, and check() stitches each object's stays back
 //            together from the shard logs.
-//   threads  free-running real threads over the emulated NVM domain (the
-//            arena path): no simulator, no crashes, nondeterministic
+//   threads  free-running real threads over one emulated NVM domain and
+//            board, no world: no simulator, no crashes, nondeterministic
 //            schedules — post-hoc per-object linearizability checking makes
 //            it a lincheck-style stress driver on real cores.
 //

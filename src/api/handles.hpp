@@ -1,7 +1,7 @@
 // Typed object handles — the descriptor-building half of the detect::api
 // façade.
 //
-// A handle names one object registered with a harness (or arena): it carries
+// A handle names one object registered with a harness or executor: it carries
 // the object id the runtime routes on, the kind string it was created from,
 // and a pointer to the implementation. Its methods construct correctly-typed
 // `hist::op_desc` values bound to that id — `r.write(5)`, `c.cas(0, 1)`,

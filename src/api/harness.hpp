@@ -225,33 +225,4 @@ class harness::builder : public run_builder<harness::builder, run_policy> {
   harness build() const { return harness(pol_); }
 };
 
-/// Free-running façade for real-thread benchmarks: the emulated NVM domain
-/// and announcement board without a simulated world. Objects still come from
-/// the registry; `reset_aux` performs the caller-side auxiliary reset the
-/// client runtime would do (skipped for objects that declare they need none).
-class arena {
- public:
-  explicit arena(int nprocs) : nprocs_(nprocs), board_(nprocs, dom_) {}
-
-  object_handle add(const std::string& kind, const object_params& params = {});
-
-  /// Ann_p.resp := ⊥, Ann_p.CP := 0 — Definition 1's auxiliary state,
-  /// provided by the caller before each invocation.
-  void reset_aux(int pid) {
-    board_.of(pid).resp.store(hist::k_bottom);
-    board_.of(pid).cp.store(0);
-  }
-
-  int nprocs() const noexcept { return nprocs_; }
-  nvm::pmem_domain& domain() noexcept { return dom_; }
-  core::announcement_board& board() noexcept { return board_; }
-
- private:
-  int nprocs_;
-  nvm::pmem_domain dom_;
-  core::announcement_board board_;
-  std::vector<std::unique_ptr<core::detectable_object>> objects_;
-  std::uint32_t next_id_ = 0;
-};
-
 }  // namespace detect::api

@@ -38,7 +38,8 @@ struct object_params {
 };
 
 /// What a factory gets to build from — deliberately world-free so the same
-/// registry serves the simulated harness and the free-running arena.
+/// registry serves the simulated harness, the free-running threads executor
+/// and bare real-thread benches (E6).
 struct object_env {
   int nprocs;
   core::announcement_board& board;

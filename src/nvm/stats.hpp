@@ -5,7 +5,8 @@
 // Every emulated access bumps one counter, so the bump is on the hot path.
 // Whether it may race is fixed when the counters are constructed:
 //   * shared   — any number of threads count at once (relaxed fetch_add).
-//     The global domain, api::arena and the threads executor count this way.
+//     The global domain, the threads executor and E6's bare per-object
+//     domains count this way.
 //   * confined — one thread at a time counts, each handing over to the next
 //     through a synchronizing handoff (a plain load and store, no locked
 //     instruction). sim::world's domain counts this way: only its driver, or

@@ -1,34 +1,14 @@
 #include "theory/aux_necessity.hpp"
 
-#include <stdexcept>
-
-#include "baselines/stripped.hpp"
-#include "core/detectable_cas.hpp"
-#include "core/detectable_register.hpp"
-#include "core/max_register.hpp"
-#include "core/queue.hpp"
-#include "core/rmw.hpp"
-#include "core/runtime.hpp"
-#include "history/checker.hpp"
-#include "history/log.hpp"
+#include "api/harness.hpp"
 
 namespace detect::theory {
 
 namespace {
 
-/// Drive only `pid` until its task completes.
-void drive_solo(sim::world& w, int pid) {
-  for (;;) {
-    std::vector<int> ready = w.runnable();
-    bool mine = false;
-    for (int r : ready) mine |= (r == pid);
-    if (!mine) return;
-    w.step(pid);
-  }
-}
-
-bool invoke_logged(const hist::log& lg, int pid, std::uint64_t seq) {
-  for (const hist::event& e : lg.snapshot()) {
+bool invoke_logged(const std::vector<hist::event>& events, int pid,
+                   std::uint64_t seq) {
+  for (const hist::event& e : events) {
     if (e.kind == hist::event_kind::invoke && e.pid == pid &&
         e.desc.client_seq == seq) {
       return true;
@@ -41,36 +21,31 @@ bool invoke_logged(const hist::log& lg, int pid, std::uint64_t seq) {
 /// re-invoke, crash after invocation) over the D-branch (crash with Opp
 /// halted just before returning).
 aux_outcome run_branch(const aux_scenario& s, bool e_branch) {
-  sim::world w(2);
-  core::announcement_board board(2, w.domain());
-  auto obj = s.make_object(2, board, w.domain());
-  hist::log lg;
-  core::runtime rt(w, lg, board);
-  rt.register_object(0, *obj);
+  api::harness h = api::harness::builder().procs(2).build();
+  const std::uint32_t id = h.add(s.kind, s.params).id();
 
   auto submit_op = [&](int pid, hist::op_desc desc, std::uint64_t seq) {
-    desc.object = 0;
-    desc.client_seq = seq;
-    w.submit(pid, [&rt, pid, desc] { rt.announce_and_invoke(pid, desc); });
+    desc.object = id;
+    h.submit_op(pid, desc, seq);
   };
   auto run_op = [&](int pid, const hist::op_desc& desc, std::uint64_t seq) {
     submit_op(pid, desc, seq);
-    drive_solo(w, pid);
-    board.of(pid).done_seq.store(seq);
+    h.drive(pid);
+    h.board().of(pid).done_seq.store(seq);
   };
 
   // --- H1: p's setup history, run to completion ----------------------------
   std::uint64_t pseq = 0;
-  for (const hist::op_desc& h : s.h1) run_op(0, h, ++pseq);
+  for (const hist::op_desc& op : s.h1) run_op(0, op, ++pseq);
 
   // --- Common prefix: p executes Opp and halts just before returning -----
   const std::uint64_t opp_seq = ++pseq;
   submit_op(0, s.opp, opp_seq);
   // Step p until it is parked at the response-logging checkpoint: all memory
   // effects of Opp done, response not yet delivered.
-  while (!(invoke_logged(lg, 0, opp_seq) &&
-           w.pending_access(0) == nvm::access::control)) {
-    w.step(0);
+  while (!(invoke_logged(h.events(), 0, opp_seq) &&
+           h.world().pending_access(0) == nvm::access::control)) {
+    h.world().step(0);
   }
 
   // --- γ: q performs Op′ and the p-free extension ------------------------
@@ -80,44 +55,43 @@ aux_outcome run_branch(const aux_scenario& s, bool e_branch) {
 
   if (e_branch) {
     // p returns from Opp...
-    drive_solo(w, 0);
-    board.of(0).done_seq.store(opp_seq);
+    h.drive(0);
+    h.board().of(0).done_seq.store(opp_seq);
     // ...invokes a second Opp; crash immediately after the invocation.
     submit_op(0, s.opp, opp_seq + 1);
-    while (!invoke_logged(lg, 0, opp_seq + 1)) w.step(0);
+    while (!invoke_logged(h.events(), 0, opp_seq + 1)) h.world().step(0);
   }
-  w.crash();
-  {
-    hist::event e;
-    e.kind = hist::event_kind::crash;
-    lg.append(e);
-  }
+  h.crash_now();
 
   // --- p recovers ---------------------------------------------------------
-  w.submit(0, [&rt] { rt.maybe_recover(0); });
-  drive_solo(w, 0);
-
-  aux_outcome out;
-  for (const hist::event& e : lg.snapshot()) {
-    if (e.kind == hist::event_kind::recover_result && e.pid == 0) {
-      out.verdict = e.verdict;
-      out.recovered_value = e.value;
-    }
-  }
+  h.submit_recovery(0);
+  h.drive(0);
 
   // --- q probes with Opq ---------------------------------------------------
   run_op(1, s.opq, ++qseq);
-  for (const hist::event& e : lg.snapshot()) {
-    if (e.kind == hist::event_kind::response && e.pid == 1) {
+
+  aux_outcome out;
+  for (const hist::event& e : h.events()) {
+    if (e.kind == hist::event_kind::recover_result && e.pid == 0) {
+      out.verdict = e.verdict;
+      out.recovered_value = e.value;
+    } else if (e.kind == hist::event_kind::response && e.pid == 1) {
       out.probe_response = e.value;
     }
   }
-
-  auto spec = s.make_spec();
-  hist::check_result cr = hist::check_durable_linearizability(lg.snapshot(), *spec);
+  const hist::check_result cr = h.check();
   out.violation = !cr.ok;
   out.detail = cr.message;
   return out;
+}
+
+aux_scenario scenario(std::string name, std::string kind,
+                      api::object_params params = {}) {
+  aux_scenario s;
+  s.name = std::move(name);
+  s.kind = std::move(kind);
+  s.params = params;
+  return s;
 }
 
 }  // namespace
@@ -126,31 +100,9 @@ aux_outcome run_e_branch(const aux_scenario& s) { return run_branch(s, true); }
 aux_outcome run_d_branch(const aux_scenario& s) { return run_branch(s, false); }
 
 aux_scenario register_scenario(bool stripped) {
-  aux_scenario s;
-  s.name = stripped ? "register (no auxiliary state)" : "register (Algorithm 1)";
-  s.make_object = [stripped](int n, core::announcement_board& b,
-                             nvm::pmem_domain& dom)
-      -> std::unique_ptr<core::detectable_object> {
-    auto reg = std::make_unique<core::detectable_register>(n, b, 0, dom);
-    if (!stripped) return reg;
-    struct holder final : core::detectable_object {
-      std::unique_ptr<core::detectable_register> inner;
-      base::stripped wrap;
-      explicit holder(std::unique_ptr<core::detectable_register> r)
-          : inner(std::move(r)), wrap(*inner) {}
-      hist::value_t invoke(int pid, const hist::op_desc& op) override {
-        return wrap.invoke(pid, op);
-      }
-      core::recovery_result recover(int pid, const hist::op_desc& op) override {
-        return wrap.recover(pid, op);
-      }
-      bool wants_aux_reset() const override { return false; }
-    };
-    return std::make_unique<holder>(std::move(reg));
-  };
-  s.make_spec = [] {
-    return std::unique_ptr<hist::spec>(new hist::register_spec(0));
-  };
+  aux_scenario s =
+      stripped ? scenario("register (no auxiliary state)", "stripped_reg")
+               : scenario("register (Algorithm 1)", "reg");
   // Lemma 3 witness: Opp = write_p(1), Op′ = read_q, extension = write_q(0),
   // Opq = read_q.
   s.opp = {0, hist::opcode::reg_write, 1, 0, 0};
@@ -161,29 +113,9 @@ aux_scenario register_scenario(bool stripped) {
 }
 
 aux_scenario cas_scenario(bool stripped) {
-  aux_scenario s;
-  s.name = stripped ? "CAS (no auxiliary state)" : "CAS (Algorithm 2)";
-  s.make_object = [stripped](int n, core::announcement_board& b,
-                             nvm::pmem_domain& dom)
-      -> std::unique_ptr<core::detectable_object> {
-    auto cas = std::make_unique<core::detectable_cas>(n, b, 0, dom);
-    if (!stripped) return cas;
-    struct holder final : core::detectable_object {
-      std::unique_ptr<core::detectable_cas> inner;
-      base::stripped wrap;
-      explicit holder(std::unique_ptr<core::detectable_cas> c)
-          : inner(std::move(c)), wrap(*inner) {}
-      hist::value_t invoke(int pid, const hist::op_desc& op) override {
-        return wrap.invoke(pid, op);
-      }
-      core::recovery_result recover(int pid, const hist::op_desc& op) override {
-        return wrap.recover(pid, op);
-      }
-      bool wants_aux_reset() const override { return false; }
-    };
-    return std::make_unique<holder>(std::move(cas));
-  };
-  s.make_spec = [] { return std::unique_ptr<hist::spec>(new hist::cas_spec(0)); };
+  aux_scenario s = stripped
+                       ? scenario("CAS (no auxiliary state)", "stripped_cas")
+                       : scenario("CAS (Algorithm 2)", "cas");
   // Lemma 6 witness: Opp = CAS_p(0,1), Op′ = CAS_q(0,1), extension =
   // CAS_q(1,0), Opq = CAS_q(0,1).
   s.opp = {0, hist::opcode::cas, 0, 1, 0};
@@ -194,29 +126,11 @@ aux_scenario cas_scenario(bool stripped) {
 }
 
 aux_scenario queue_scenario(bool stripped) {
-  aux_scenario s;
-  s.name = stripped ? "queue (no auxiliary state)" : "queue (op identifiers)";
-  s.make_object = [stripped](int n, core::announcement_board& b,
-                             nvm::pmem_domain& dom)
-      -> std::unique_ptr<core::detectable_object> {
-    auto q = std::make_unique<core::detectable_queue>(n, b, 32, dom);
-    if (!stripped) return q;
-    struct holder final : core::detectable_object {
-      std::unique_ptr<core::detectable_queue> inner;
-      base::stripped wrap;
-      explicit holder(std::unique_ptr<core::detectable_queue> qq)
-          : inner(std::move(qq)), wrap(*inner) {}
-      hist::value_t invoke(int pid, const hist::op_desc& op) override {
-        return wrap.invoke(pid, op);
-      }
-      core::recovery_result recover(int pid, const hist::op_desc& op) override {
-        return wrap.recover(pid, op);
-      }
-      bool wants_aux_reset() const override { return false; }
-    };
-    return std::make_unique<holder>(std::move(q));
-  };
-  s.make_spec = [] { return std::unique_ptr<hist::spec>(new hist::queue_spec()); };
+  const api::object_params params{.capacity = 32};
+  aux_scenario s =
+      stripped
+          ? scenario("queue (no auxiliary state)", "stripped_queue", params)
+          : scenario("queue (op identifiers)", "queue", params);
   // Lemma 8 witness: H1 = Enq_p(10) ◦ Enq_p(11); Opp = Deq_p; Op′ = Deq_q;
   // extension = Enq_q(10) ◦ Enq_q(11); Opq = Deq_q.
   s.h1 = {{0, hist::opcode::enq, 10, 0, 0}, {0, hist::opcode::enq, 11, 0, 0}};
@@ -229,31 +143,9 @@ aux_scenario queue_scenario(bool stripped) {
 }
 
 aux_scenario counter_scenario(bool stripped) {
-  aux_scenario s;
-  s.name = stripped ? "counter (no auxiliary state)" : "counter (RMW capsule)";
-  s.make_object = [stripped](int n, core::announcement_board& b,
-                             nvm::pmem_domain& dom)
-      -> std::unique_ptr<core::detectable_object> {
-    auto c = std::make_unique<core::detectable_counter>(n, b, 0, dom);
-    if (!stripped) return c;
-    struct holder final : core::detectable_object {
-      std::unique_ptr<core::detectable_counter> inner;
-      base::stripped wrap;
-      explicit holder(std::unique_ptr<core::detectable_counter> cc)
-          : inner(std::move(cc)), wrap(*inner) {}
-      hist::value_t invoke(int pid, const hist::op_desc& op) override {
-        return wrap.invoke(pid, op);
-      }
-      core::recovery_result recover(int pid, const hist::op_desc& op) override {
-        return wrap.recover(pid, op);
-      }
-      bool wants_aux_reset() const override { return false; }
-    };
-    return std::make_unique<holder>(std::move(c));
-  };
-  s.make_spec = [] {
-    return std::unique_ptr<hist::spec>(new hist::counter_spec(0));
-  };
+  aux_scenario s =
+      stripped ? scenario("counter (no auxiliary state)", "stripped_counter")
+               : scenario("counter (RMW capsule)", "counter");
   // Lemma 5 witness: Opp = Increment_p, Op′ = read_q, empty p-free
   // extension, Opq = read_q.
   s.opp = {0, hist::opcode::ctr_add, 1, 0, 0};
@@ -264,15 +156,8 @@ aux_scenario counter_scenario(bool stripped) {
 }
 
 aux_scenario max_register_scenario() {
-  aux_scenario s;
-  s.name = "max register (Algorithm 3, no auxiliary state)";
-  s.make_object = [](int n, core::announcement_board& b, nvm::pmem_domain& dom)
-      -> std::unique_ptr<core::detectable_object> {
-    return std::make_unique<core::max_register>(n, b, dom);
-  };
-  s.make_spec = [] {
-    return std::unique_ptr<hist::spec>(new hist::max_register_spec(0));
-  };
+  aux_scenario s =
+      scenario("max register (Algorithm 3, no auxiliary state)", "max_reg");
   // The analogous schedule: Opp = writeMax_p(5), Op′ = read_q, extension =
   // writeMax_q(3), Opq = read_q. (No witness exists — Lemma 4 — so no
   // violation should arise.)

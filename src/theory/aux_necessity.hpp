@@ -24,29 +24,26 @@
 // The D-branch (crash just before the *first* Opp returns) is also provided:
 // there the stale-response answer happens to be right — the two branches are
 // indistinguishable to p, which is exactly the engine of the proof.
+//
+// A scenario is data only: a registry kind plus the witness ops. Each run
+// builds the object through api::harness and steps the Figure-2 schedule with
+// the harness's manual-driving helpers, so the stripped variants are the
+// registry's stripped_* kinds and the check is the harness's own.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/announce.hpp"
-#include "core/object.hpp"
-#include "history/specs.hpp"
-#include "sim/world.hpp"
+#include "api/registry.hpp"
+#include "history/event.hpp"
 
 namespace detect::theory {
 
 /// Everything needed to run the Figure-2 schedule against one object kind.
 struct aux_scenario {
   std::string name;
-  /// Build the object under test inside the given world/board.
-  std::function<std::unique_ptr<core::detectable_object>(
-      int nprocs, core::announcement_board&, nvm::pmem_domain&)>
-      make_object;
-  /// Sequential spec for checking the recorded history.
-  std::function<std::unique_ptr<hist::spec>()> make_spec;
+  std::string kind;                      // registry kind under test
+  api::object_params params;             // its construction parameters
   std::vector<hist::op_desc> h1;         // H1: ops by p, run to completion
   hist::op_desc opp;                     // the witnessing op by p (pid 0)
   hist::op_desc op1;                     // Op′ by q (pid 1)

@@ -366,19 +366,6 @@ TEST(run_policy_pin, server_pump_soak) {
   EXPECT_EQ(fnv(k_fnv_basis, fired), 5523497507384660344ULL);
 }
 
-// ---- arena (free-running façade) --------------------------------------------
-
-TEST(arena, serves_registry_objects_without_a_world) {
-  api::arena a(2);
-  api::counter c(a.add("plain_counter"));
-  for (int i = 0; i < 5; ++i) {
-    a.reset_aux(0);
-    c.object().invoke(0, c.add(1));
-  }
-  a.reset_aux(0);
-  EXPECT_EQ(c.object().invoke(0, c.read()), 5);
-}
-
 // ---- fail_policy::retry: exactly-once under mid-operation crashes -----------
 
 // Crash a counter add at its commit point — once right BEFORE the capsule's

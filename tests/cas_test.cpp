@@ -19,8 +19,9 @@ scenario cas_scenario(int nprocs, std::function<scripts(api::cas)> make_scripts,
 }
 
 TEST(detectable_cas, rejects_too_many_processes) {
-  api::arena a(65);
-  EXPECT_THROW(core::detectable_cas(65, a.board(), 0, a.domain()),
+  nvm::pmem_domain dom;
+  core::announcement_board board(65, dom);
+  EXPECT_THROW(core::detectable_cas(65, board, 0, dom),
                std::invalid_argument);
 }
 
@@ -242,9 +243,10 @@ TEST(detectable_cas, shared_cache_with_transform) {
 }
 
 TEST(detectable_cas, extra_bits_are_theta_n) {
-  api::arena a(64);
+  nvm::pmem_domain dom;
+  core::announcement_board board(64, dom);
   for (int n : {1, 8, 33, 64}) {
-    core::detectable_cas cas(n, a.board(), 0, a.domain());
+    core::detectable_cas cas(n, board, 0, dom);
     EXPECT_EQ(cas.extra_shared_bits(), static_cast<std::size_t>(n));
   }
 }

@@ -34,8 +34,9 @@ TEST(detectable_stack, empty_pop) {
 }
 
 TEST(detectable_stack, rejects_too_many_processes) {
-  api::arena a(33);
-  EXPECT_THROW(core::detectable_stack(33, a.board(), 8, a.domain()),
+  nvm::pmem_domain dom;
+  core::announcement_board board(33, dom);
+  EXPECT_THROW(core::detectable_stack(33, board, 8, dom),
                std::invalid_argument);
 }
 
