@@ -3,12 +3,14 @@
 // over the failure text of every stage — primary, sharded, placement and
 // variant — on hand-built failing inputs. Any change to which replays a
 // variant family performs, in which order, or what they report shows up as
-// a hash mismatch.
+// a hash mismatch. The sharded backend's own check results are pinned here
+// too, over generated replays.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "fuzz/axes.hpp"
 #include "fuzz/fuzz.hpp"
 #include "test_util.hpp"
 
@@ -89,6 +91,41 @@ TEST(differ_pin, mixed_model_pools) {
   cfg.persist_pool = {"strict", "buffered"};
   cfg.visibility_pool = {"sc", "tso", "pso"};
   EXPECT_EQ(hash_generated(cfg), 5214843295720148694ULL);
+}
+
+// The sharded check's results over 3,000 generated replays on the sharded
+// backend: every registry kind in the object pool, every model axis open,
+// at least two shards. Any change to how check() cuts the shard logs into
+// per-object streams that moves a verdict, a node count or a message moves
+// the hash.
+TEST(sharded_check_pin, results_over_generated_replays) {
+  fuzz::gen_config cfg = default_config();
+  cfg.min_shards = 2;
+  for (const fuzz::model_axis& axis : fuzz::model_axes()) {
+    std::vector<std::string>& pool = cfg.*axis.pool;
+    pool.clear();
+    for (const fuzz::axis_value& v : axis.values) pool.push_back(v.name);
+  }
+  std::uint64_t h = k_fnv_basis;
+  int crashy = 0, migrating = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    api::scripted_scenario s = fuzz::generate(
+        seed, g_builtin_kinds[seed % g_builtin_kinds.size()], cfg);
+    s.backend = api::exec_backend::sharded;
+    crashy += !s.crash_steps.empty();
+    migrating += !s.migrations.empty();
+    const hist::check_result r = api::replay(s).check;
+    h = test::fnv(h, r.ok ? "ok" : "rejected");
+    h = test::fnv(h, std::to_string(r.nodes));
+    h = test::fnv(h, std::to_string(r.objects));
+    h = test::fnv(h, r.synthesized_interval ? "synth" : "-");
+    h = test::fnv(h, std::to_string(r.failed_object));
+    h = test::fnv(h, r.inconclusive ? "inconclusive" : "decided");
+    h = test::fnv(h, r.message);
+  }
+  EXPECT_GE(crashy, 800);
+  EXPECT_GE(migrating, 140);
+  EXPECT_EQ(h, 2884743937306544897ULL);
 }
 
 // lin_memo's fingerprint decides which sub-checks of a variant family repeat.
