@@ -7,8 +7,10 @@
 // vs Algorithms 1-2 vs the unbounded-id baselines, free-running on a bare
 // emulated NVM domain and announcement board (no simulator hook,
 // private-cache mode). Objects are instantiated from the registry by kind
-// string, and each per-object row is one fixed-iteration timed loop per
-// thread: 100,000 iterations, or 200 under DETECT_SMOKE.
+// string, and each per-object row is a fixed-iteration timed loop per
+// thread: 100,000 iterations, or 200 under DETECT_SMOKE. A row runs its loop
+// 5 times (once under DETECT_SMOKE), each on a fresh object, and prints the
+// median items/s with the min–max spread.
 //
 // Before the per-object rows, main() runs a throughput sweep over the
 // api::executor backends (single, sharded with a --shards list under each
@@ -21,6 +23,7 @@
 //                       --json BENCH_e6.json     # all defaults shown
 //   DETECT_SMOKE=1 bench_e6_throughput           # tiny parameters
 //   bench_e6_throughput --no-sweep               # per-object rows only
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -123,8 +126,10 @@ std::int64_t run_thread(core::detectable_object& obj,
 
 /// One fresh object of `row.kind` on its own domain and board, driven by
 /// `threads` real threads (the calling thread is pid 0). The clock starts
-/// once every worker is up, and all threads start together.
-void run_object_row(const object_row& row, int threads, std::int64_t iters) {
+/// once every worker is up, and all threads start together. Returns the
+/// items per second; `*items` gets the items processed.
+double time_object_row(const object_row& row, int threads, std::int64_t iters,
+                       std::int64_t* items) {
   nvm::pmem_domain dom;
   core::announcement_board board(k_max_threads, dom);
   api::created_object created = api::object_registry::global().create(
@@ -145,23 +150,37 @@ void run_object_row(const object_row& row, int threads, std::int64_t iters) {
   const auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   // Every thread processes as many items as pid 0.
-  const std::int64_t total = threads * run_thread(obj, board, row.ops, 0, iters);
+  *items = threads * run_thread(obj, board, row.ops, 0, iters);
   for (std::thread& w : workers) w.join();
   const auto stop = std::chrono::steady_clock::now();
 
   const double secs = std::chrono::duration<double>(stop - start).count();
-  std::printf("%-14s threads=%d  %10lld items  %8.4f s  %14.0f items/s\n",
-              row.kind, threads, static_cast<long long>(total), secs,
-              secs > 0 ? static_cast<double>(total) / secs : 0.0);
+  return secs > 0 ? static_cast<double>(*items) / secs : 0.0;
+}
+
+/// A row's timed loop `runs` times, each on a fresh object: the median
+/// items/s and the min–max spread, since one run lasts only milliseconds.
+void run_object_row(const object_row& row, int threads, std::int64_t iters,
+                    int runs) {
+  std::int64_t items = 0;
+  std::vector<double> rates;
+  for (int r = 0; r < runs; ++r) {
+    rates.push_back(time_object_row(row, threads, iters, &items));
+  }
+  std::sort(rates.begin(), rates.end());
+  std::printf("%-14s threads=%d  %10lld items  median %14.0f items/s  "
+              "(%.0f-%.0f)\n",
+              row.kind, threads, static_cast<long long>(items),
+              rates[rates.size() / 2], rates.front(), rates.back());
   std::fflush(stdout);
 }
 
-void run_object_rows(std::int64_t iters) {
+void run_object_rows(std::int64_t iters, int runs) {
   std::printf("== per-object throughput (real threads, %lld iterations per "
-              "thread) ==\n",
-              static_cast<long long>(iters));
+              "thread, median of %d runs) ==\n",
+              static_cast<long long>(iters), runs);
   for (const object_row& row : k_object_rows) {
-    for (int threads : row.threads) run_object_row(row, threads, iters);
+    for (int threads : row.threads) run_object_row(row, threads, iters, runs);
   }
 }
 
@@ -382,6 +401,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (sweep) run_shards_sweep(cfg);
-  run_object_rows(bench::smoke() ? 200 : 100'000);
+  run_object_rows(bench::smoke() ? 200 : 100'000, bench::smoke() ? 1 : 5);
   return 0;
 }

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <map>
@@ -14,7 +13,6 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 namespace detect::api {
 
@@ -160,18 +158,12 @@ class single_executor final : public executor {
 /// Driver lanes for the sharded backend: how many shards one run() drives at
 /// once on the process-wide util::task_pool::shared() pool (the submitting
 /// thread is one of the lanes). An explicit request
-/// (builder().pool_threads(n) > 0) wins, then the DETECT_POOL_THREADS env
-/// override, then auto = hardware cores. The result is capped at `shards`
-/// (extra lanes would idle) and at task_pool::k_max_workers, and collapses
-/// to 0 (inline mode) when it is not at least 2 — one lane would serialize
-/// the batch anyway.
+/// (builder().pool_threads(n) > 0) wins over auto = hardware cores. The
+/// result is capped at `shards` (extra lanes would idle) and at
+/// task_pool::k_max_workers, and collapses to 0 (inline mode) when it is not
+/// at least 2 — one lane would serialize the batch anyway.
 int shard_pool_workers(int shards, int requested) {
   int n = requested;
-  if (n <= 0) {
-    if (const char* env = std::getenv("DETECT_POOL_THREADS")) {
-      n = std::atoi(env);
-    }
-  }
   if (n <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0) hw = 1;  // unknown → assume a lone core
@@ -387,10 +379,9 @@ class sharded_executor final : public executor {
     nvm::pmem_image image = src.extract_object(object_id);
     harness& dst = *shards_[static_cast<std::size_t>(shard)];
     dst.adopt_object(object_id, rec.kind, rec.params, image);
-    rec.stays.push_back({rec.shard, rec.arrival, left});
+    rec.past.push_back({rec.shard, rec.arrival, left});
     rec.shard = shard;
     rec.arrival = dst.log().size();
-    any_migrated_ = true;
   }
 
   int rebalance(const placement_policy& policy) override {
@@ -471,120 +462,52 @@ class sharded_executor final : public executor {
   }
 
   hist::check_result check(const hist::check_options& opt) const override {
-    if (!any_migrated_) {
-      // Crash events are per shard (each shard is its own failure domain),
-      // so decompose shard by shard, each against its own objects' specs —
-      // the per-object fan-out (opt.jobs) applies within each shard's call.
-      hist::check_result res;
-      res.ok = true;
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        hist::check_result sub = shards_[k]->check_per_object(opt);
-        res.nodes += sub.nodes;
-        res.objects += sub.objects;
-        res.synthesized_interval |= sub.synthesized_interval;
-        if (!sub.ok) {
-          res.ok = false;
-          res.inconclusive = sub.inconclusive;
-          res.failed_object = sub.failed_object;
-          res.message =
-              "shard " + std::to_string(k) + ": " + sub.message;
-          return res;
-        }
-      }
-      return res;
-    }
-
-    // Once an object has migrated, its history spans shards, so the
-    // per-shard decomposition no longer lines up with object homes. Assemble
-    // each object's contiguous stream instead: the projection of each of its
-    // stays, in order (op events of the object + that world's crash events
-    // while it lived there), the last one open-ended on its current shard.
-    // Every shard log is walked once for all the stays it hosted. Still one
-    // independent linearization per object, all handed to the hist driver in
-    // one batch so the jobs fan-out and worst-offender selection apply here
-    // exactly as on the unmigrated paths.
-    const object_registry& reg = object_registry::global();
-    std::vector<std::unique_ptr<hist::spec>> spec_store;
+    // Crash events are per shard (each shard is its own failure domain), and
+    // a migrated object's history spans shards. So assemble each object's
+    // stream from its stays, in order: on each shard it lived on, its op
+    // events and that world's crashes while it lived there, the last stay
+    // open-ended on its current home. An object that never moved is one open
+    // stay from its arrival. Every shard log is walked once for all the
+    // stays it hosted, and all objects go to the hist driver in one batch,
+    // so the jobs fan-out and worst-offender selection apply across shards.
     std::vector<hist::object_stream> streams;
     // Per object, one event list per stay in order, the current one last.
     std::vector<std::vector<std::vector<hist::event>>> parts(placed_.size());
-    std::vector<std::vector<episode>> episodes(shards_.size());
+    std::vector<std::vector<hist::stay>> stays(shards_.size());
     streams.reserve(placed_.size());
-    for (const auto& [id, rec] : placed_) {
-      spec_store.push_back(reg.make_spec(rec.kind, rec.params));
-      streams.push_back({id, spec_store.back().get(), {}});
-      // Sized before the episodes point into it.
-      std::vector<std::vector<hist::event>>& own = parts[streams.size() - 1];
-      own.resize(rec.stays.size() + 1);
-      for (std::size_t j = 0; j < rec.stays.size(); ++j) {
-        const stay& st = rec.stays[j];
-        episodes[static_cast<std::size_t>(st.shard)].push_back(
-            {id, st.from, st.to, &own[j]});
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      for (const auto& [id, sp] : shards_[k]->object_specs()) {
+        const placed_object& rec = placed_.at(id);
+        streams.push_back({id, sp, {}});
+        // Sized before the stays point into it.
+        std::vector<std::vector<hist::event>>& own = parts[streams.size() - 1];
+        own.resize(rec.past.size() + 1);
+        for (std::size_t j = 0; j < rec.past.size(); ++j) {
+          const past_stay& st = rec.past[j];
+          stays[static_cast<std::size_t>(st.shard)].push_back(
+              {id, st.from, st.to, &own[j]});
+        }
+        stays[k].push_back({id, rec.arrival, hist::k_open, &own.back()});
       }
-      episodes[static_cast<std::size_t>(rec.shard)].push_back(
-          {id, rec.arrival, k_open, &own.back()});
     }
     for (std::size_t k = 0; k < shards_.size(); ++k) {
-      extend(shards_[k]->log(), std::move(episodes[k]));
+      hist::project(shards_[k]->log(), std::move(stays[k]));
     }
     for (std::size_t i = 0; i < streams.size(); ++i) {
       streams[i].events = join_stays(parts[i]);
     }
     hist::check_result res = hist::check_object_streams(streams, opt);
-    if (!res.ok && res.failed_object >= 0) {
-      const auto it = placed_.find(
-          static_cast<std::uint32_t>(res.failed_object));
-      if (it != placed_.end()) {
-        res.message = "shard " + std::to_string(it->second.shard) +
-                      (it->second.stays.empty() ? "" : " (object migrated)") +
-                      ": " + res.message;
-      }
+    if (!res.ok) {
+      const placed_object& rec =
+          placed_.at(static_cast<std::uint32_t>(res.failed_object));
+      res.message = "shard " + std::to_string(rec.shard) +
+                    (rec.past.empty() ? "" : " (object migrated)") + ": " +
+                    res.message;
     }
     return res;
   }
 
  private:
-  /// One shard's share of an object's history: the events of its log in
-  /// [from, to) that belong to the object (its own op events and every
-  /// crash of that world, its failure epochs) go to `events`.
-  struct episode {
-    std::uint32_t id = 0;
-    std::size_t from = 0;
-    std::size_t to = 0;
-    std::vector<hist::event>* events = nullptr;
-  };
-  static constexpr std::size_t k_open = static_cast<std::size_t>(-1);
-
-  /// Fill the episodes of one shard in a single in-place walk of its log:
-  /// an op event goes to its object's latest begun episode, a crash to
-  /// every episode under way at that point. An object may have several
-  /// episodes on one shard (it left and came back); they never overlap.
-  static void extend(const hist::log& lg, std::vector<episode> eps) {
-    if (eps.empty()) return;
-    std::stable_sort(eps.begin(), eps.end(),
-                     [](const episode& a, const episode& b) {
-                       return a.from < b.from;
-                     });
-    std::unordered_map<std::uint32_t, std::size_t> slot_of;  // latest begun
-    std::size_t pos = eps.front().from;
-    std::size_t begun = 0;  // eps[0, begun) began by the event
-    lg.for_each(pos, [&](const hist::event& e) {
-      const std::size_t at = pos++;
-      for (; begun < eps.size() && eps[begun].from <= at; ++begun) {
-        slot_of[eps[begun].id] = begun;
-      }
-      if (e.kind == hist::event_kind::crash) {
-        for (std::size_t j = 0; j < begun; ++j) {
-          if (at < eps[j].to) eps[j].events->push_back(e);
-        }
-        return;
-      }
-      // An object's op events on a shard all fall in its stays there.
-      const auto it = slot_of.find(e.desc.object);
-      if (it != slot_of.end()) eps[it->second].events->push_back(e);
-    });
-  }
-
   /// Concatenate an object's stays into one stream. Each stay's op events
   /// are shifted past the largest client_seq the stream already holds for
   /// the same pid. Each world numbers a process's ops from 1, so without
@@ -620,7 +543,7 @@ class sharded_executor final : public executor {
 
   /// A finished stay: the object lived on `shard` while its log ran over
   /// [from, to).
-  struct stay {
+  struct past_stay {
     int shard = 0;
     std::size_t from = 0;
     std::size_t to = 0;
@@ -635,7 +558,7 @@ class sharded_executor final : public executor {
     int shard = 0;
     std::size_t decl_index = 0;
     std::size_t arrival = 0;  // current shard's log length at arrival
-    std::vector<stay> stays;  // earlier homes, oldest first
+    std::vector<past_stay> past;  // earlier homes, oldest first
   };
 
   exec_policy pol_;
@@ -651,7 +574,6 @@ class sharded_executor final : public executor {
   /// the merged-log order.
   std::vector<std::vector<std::size_t>> round_marks_;
   std::uint32_t next_id_ = 0;
-  bool any_migrated_ = false;
   /// Shards driven at once by run() (0 = inline); see shard_pool_workers().
   int lanes_;
 };

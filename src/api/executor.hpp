@@ -74,10 +74,9 @@ struct exec_policy : run_policy {
   placement_policy placement;
   /// Sharded backend: how many shards one run() drives at once on the
   /// process-wide util::task_pool. 0 = auto (min(shards, hardware cores),
-  /// inline below 2 lanes). An explicit value wins over auto AND over the
-  /// DETECT_POOL_THREADS env override; 1 means "run shards sequentially
-  /// inline" (one lane would only add handoff latency over the submitter's
-  /// own loop).
+  /// inline below 2 lanes). An explicit value wins over auto; 1 means "run
+  /// shards sequentially inline" (one lane would only add handoff latency
+  /// over the submitter's own loop).
   int pool_threads = 0;
 };
 
@@ -226,11 +225,8 @@ class executor::builder : public run_builder<executor::builder, exec_policy> {
   }
   /// Driver lanes for the sharded backend: how many shards run in parallel
   /// on the process-wide pool. 0 (default) = auto-size to
-  /// min(shards, hardware cores); 1 = inline sequential; the
-  /// DETECT_POOL_THREADS environment variable overrides the auto choice
-  /// only, so one-core CI and multi-core hosts bench the same binary.
-  /// build() rejects negative values and any explicit value off the sharded
-  /// backend.
+  /// min(shards, hardware cores); 1 = inline sequential. build() rejects
+  /// negative values and any explicit value off the sharded backend.
   builder& pool_threads(int n) {
     pol_.pool_threads = n;
     return *this;

@@ -131,11 +131,11 @@ struct scripted_outcome {
 /// Build an executor for `s` (instantiating every declared object from the
 /// registry under its declared id on `s.backend`), install the scripts, run,
 /// and check. Sharded scenarios run their shards inline, in order, on the
-/// calling thread (pool_threads(1), whatever DETECT_POOL_THREADS says); the
-/// shared driver pool is never woken. The check knobs: node budget, a
-/// shared per-object check memo (the differ threads one through a
-/// scenario's whole variant family so identical object histories linearize
-/// once), and the per-object fan-out (`jobs` — see hist::check_options).
+/// calling thread (pool_threads(1)); the shared driver pool is never woken.
+/// The check knobs: node budget, a shared per-object check memo (the differ
+/// threads one through a scenario's whole variant family so identical
+/// object histories linearize once), and the per-object fan-out (`jobs` —
+/// see hist::check_options).
 /// Throws std::invalid_argument on scenarios whose ops target undeclared
 /// objects.
 scripted_outcome replay(const scripted_scenario& s,

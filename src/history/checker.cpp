@@ -265,15 +265,49 @@ check_result check_durable_linearizability(const std::vector<event>& events,
   return res;
 }
 
-std::vector<event> object_events(const std::vector<event>& events,
-                                 std::uint32_t object_id) {
-  std::vector<event> out;
-  for (const event& e : events) {
-    if (e.kind == event_kind::crash || e.desc.object == object_id) {
-      out.push_back(e);
+namespace {
+
+/// The one projection walk. `walk(from, f)` calls `f` on the history's
+/// events at positions `from` onwards, in order.
+template <class Walk>
+void project_walk(Walk&& walk, std::vector<stay> stays) {
+  if (stays.empty()) return;
+  std::stable_sort(stays.begin(), stays.end(),
+                   [](const stay& a, const stay& b) { return a.from < b.from; });
+  std::unordered_map<std::uint32_t, std::size_t> open;  // latest begun stay
+  std::size_t pos = stays.front().from;
+  std::size_t begun = 0;  // stays[0, begun) began by the event
+  walk(pos, [&](const event& e) {
+    const std::size_t at = pos++;
+    for (; begun < stays.size() && stays[begun].from <= at; ++begun) {
+      open[stays[begun].id] = begun;
     }
-  }
-  return out;
+    if (e.kind == event_kind::crash) {
+      for (std::size_t j = 0; j < begun; ++j) {
+        if (at < stays[j].to) stays[j].events->push_back(e);
+      }
+      return;
+    }
+    const auto it = open.find(e.desc.object);
+    if (it != open.end()) stays[it->second].events->push_back(e);
+  });
+}
+
+}  // namespace
+
+void project(const log& history, std::vector<stay> stays) {
+  project_walk([&](std::size_t from, auto&& f) { history.for_each(from, f); },
+               std::move(stays));
+}
+
+void project(const std::vector<event>& history, std::vector<stay> stays) {
+  project_walk(
+      [&](std::size_t from, auto&& f) {
+        std::for_each(history.begin() + static_cast<std::ptrdiff_t>(
+                                            std::min(from, history.size())),
+                      history.end(), f);
+      },
+      std::move(stays));
 }
 
 namespace {
@@ -392,11 +426,17 @@ check_result check_durable_linearizability_per_object(
     }
   }
 
+  // One stay per object, open over the whole history. Reserved, so the
+  // stays' pointers into `streams` stay valid.
   std::vector<object_stream> streams;
+  std::vector<stay> stays;
   streams.reserve(specs.size());
+  stays.reserve(specs.size());
   for (const auto& [id, sp] : specs) {
-    streams.push_back({id, sp, object_events(events, id)});
+    streams.push_back({id, sp, {}});
+    stays.push_back({id, 0, k_open, &streams.back().events});
   }
+  project(events, std::move(stays));
   return check_object_streams(streams, opt);
 }
 

@@ -43,8 +43,8 @@ struct check_result {
   /// Per-object path only: the object id `message` reports (the worst
   /// offender — see check_durable_linearizability_per_object), -1 when the
   /// check passed or did not take the per-object path. Lets callers (the
-  /// sharded executor's migrated-object path, serve triage) annotate the
-  /// failure without parsing the message.
+  /// sharded executor, serve triage) annotate the failure without parsing
+  /// the message.
   std::int64_t failed_object = -1;
   std::string message;
 };
@@ -66,10 +66,28 @@ check_result check_durable_linearizability(
 /// are borrowed; they are cloned internally, never mutated).
 using object_spec_list = std::vector<std::pair<std::uint32_t, const spec*>>;
 
-/// The sub-history of one object: its invoke/response/recover events plus
-/// every (global) crash event, in original order.
-std::vector<event> object_events(const std::vector<event>& events,
-                                 std::uint32_t object_id);
+/// The `to` of a stay still under way at the end of its history.
+inline constexpr std::size_t k_open = static_cast<std::size_t>(-1);
+
+/// One stretch of an object's life in one history: the positions [from, to)
+/// during which the object lived there. project() appends to `*events` the
+/// object's own op events of the stretch and every crash of that history
+/// under way during it: the crashes are the object's failure epochs.
+struct stay {
+  std::uint32_t id = 0;
+  std::size_t from = 0;
+  std::size_t to = k_open;
+  std::vector<event>* events = nullptr;
+};
+
+/// The per-object projection, in one walk of a history: each op event goes
+/// to its object's open stay (the latest one begun), each crash to every
+/// stay under way. One object's stays in one history never overlap and
+/// hold all its op events there; an op event of an object with no stay
+/// begun is dropped. Every backend's check cuts its history into
+/// per-object streams this way.
+void project(const log& history, std::vector<stay> stays);
+void project(const std::vector<event>& history, std::vector<stay> stays);
 
 /// Cross-run memo for per-object sub-checks. The differ replays one scenario
 /// many times (single vs sharded, placement variants, per-object kind
@@ -182,9 +200,8 @@ check_result check_durable_linearizability_per_object(
     const check_options& opt);
 
 /// One object's pre-projected sub-history with its spec — what the sharded
-/// executor's migrated-object path assembles by hand (prefix carried across
-/// shards + the hosting shard's slice), where no single event vector exists
-/// to project from.
+/// executor assembles from its shard logs (the object's stays on each shard,
+/// joined in order), where no single event vector exists to project from.
 struct object_stream {
   std::uint32_t id = 0;
   const spec* sp = nullptr;  // borrowed; cloned internally, never mutated

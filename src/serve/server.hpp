@@ -285,7 +285,6 @@ class server::builder {
     cfg_.exec.placement = std::move(p);
     return *this;
   }
-  builder& pool_threads(int n) { cfg_.exec.pool_threads = n; return *this; }
   builder& max_steps(std::uint64_t n) {
     cfg_.exec.wcfg.max_steps = n;
     return *this;

@@ -1,7 +1,6 @@
 // detect::api::executor — backend policies, shard routing, log merging,
 // per-object checker decomposition, and the real-thread backend.
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -10,6 +9,7 @@
 
 #include "api/api.hpp"
 #include "fuzz/fuzz.hpp"
+#include "test_util.hpp"
 #include "util/task_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -173,6 +173,59 @@ TEST(executor_sharded, runs_and_checks_a_cross_shard_workload) {
   }
   EXPECT_EQ(c0_resps, (std::multiset<hist::value_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(c1_resps, (std::multiset<hist::value_t>{0, 1, 2}));
+}
+
+// A failing sharded history runs every object's sub-check and names the
+// worst offender over all of them, whether or not some object has moved.
+// Two lying counters fail, on shards 0 and 1: shard 1's lies after five adds,
+// so its search expands more nodes than shard 0's, which lies after one. A
+// clean counter sits on shard 2, or has moved to shard 0 before the run.
+TEST(executor_sharded, failing_check_runs_every_shard) {
+  test::register_lying_counter_once();
+  struct counter_decl {
+    std::uint32_t id;
+    const char* kind;
+    int adds;  // before the one read
+  };
+  const counter_decl decls[] = {{0, "test_lying_counter", 1},
+                                {1, "test_lying_counter", 5},
+                                {2, "counter", 1}};
+  const auto declare = [](api::executor& ex, const counter_decl& d) {
+    api::counter c(ex.add_as(d.id, d.kind));
+    std::vector<hist::op_desc> ops(static_cast<std::size_t>(d.adds), c.add(1));
+    ops.push_back(c.read());
+    return ops;
+  };
+  // Each object's sub-check alone: its ops on a one-object world.
+  std::size_t every_sub_check = 0;
+  for (const counter_decl& d : decls) {
+    auto lone = api::executor::builder().backend(exec_backend::single).build();
+    lone->script(0, declare(*lone, d));
+    lone->run();
+    every_sub_check += lone->check().nodes;
+  }
+  for (bool moved : {false, true}) {
+    auto ex = api::executor::builder()
+                  .backend(exec_backend::sharded)
+                  .shards(3)
+                  .procs(1)
+                  .placement(api::pinned_placement({{0, 0}, {1, 1}, {2, 2}}))
+                  .build();
+    std::vector<hist::op_desc> ops;
+    for (const counter_decl& d : decls) {
+      const std::vector<hist::op_desc> own = declare(*ex, d);
+      ops.insert(ops.end(), own.begin(), own.end());
+    }
+    if (moved) ex->migrate(2, 0);
+    ex->script(0, ops);
+    ex->run();
+    const hist::check_result r = ex->check();
+    EXPECT_FALSE(r.ok) << "moved " << moved;
+    EXPECT_EQ(r.objects, 3u) << "moved " << moved;
+    EXPECT_EQ(r.failed_object, 1) << "moved " << moved;
+    EXPECT_EQ(r.nodes, every_sub_check) << "moved " << moved;
+    EXPECT_EQ(r.message.rfind("shard 1: object 1 (", 0), 0u) << r.message;
+  }
 }
 
 TEST(executor_sharded, crashy_sharded_run_still_checks) {
@@ -856,6 +909,7 @@ TEST(migration, an_object_can_return_to_a_shard_it_left) {
 // too).
 TEST(migration, state_transplant_round_trips_for_every_registry_kind) {
   for (const std::string& kind : api::object_registry::global().kinds()) {
+    if (kind == "test_lying_counter") continue;  // this suite's planted lie
     auto ex = api::executor::builder()
                   .backend(exec_backend::sharded)
                   .shards(2)
@@ -905,24 +959,6 @@ TEST(pool_threads, explicit_size_wins_and_one_collapses_to_inline) {
                      .pool_threads(8)
                      .build();
   EXPECT_EQ(surplus->pool_workers(), 2);
-}
-
-TEST(pool_threads, env_override_applies_only_to_auto) {
-  ::setenv("DETECT_POOL_THREADS", "1", 1);
-  auto autod = api::executor::builder()
-                   .backend(exec_backend::sharded)
-                   .shards(4)
-                   .build();
-  EXPECT_EQ(autod->pool_workers(), 0);  // env says 1 → inline
-
-  // An explicit builder value beats the environment.
-  auto expl = api::executor::builder()
-                  .backend(exec_backend::sharded)
-                  .shards(4)
-                  .pool_threads(2)
-                  .build();
-  EXPECT_EQ(expl->pool_workers(), 2);
-  ::unsetenv("DETECT_POOL_THREADS");
 }
 
 TEST(pool_threads, validates_at_build_time) {

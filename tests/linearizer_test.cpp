@@ -100,10 +100,17 @@ std::uint64_t hash_objects(std::uint64_t h, const api::scripted_scenario& s,
                            const std::vector<hist::event>& events,
                            hist::value_t shift, std::size_t budget,
                            tally& t) {
-  for (const api::scenario_object& o : s.objects) {
+  std::vector<std::vector<hist::event>> streams(s.objects.size());
+  std::vector<hist::stay> stays;
+  for (std::size_t i = 0; i < s.objects.size(); ++i) {
+    stays.push_back({s.objects[i].id, 0, hist::k_open, &streams[i]});
+  }
+  hist::project(events, std::move(stays));
+  for (std::size_t i = 0; i < s.objects.size(); ++i) {
+    const api::scenario_object& o = s.objects[i];
     const std::unique_ptr<hist::spec> sp = shifted_spec(o, shift);
     const std::vector<hist::op_record> records =
-        hist::build_records(hist::object_events(events, o.id));
+        hist::build_records(streams[i]);
     for (std::size_t b : k_small_budgets) {
       h = hash_lin(h, hist::check_linearizable(records, *sp, b),
                    records.size(), t);
