@@ -51,7 +51,7 @@
 #                                    # threads (threads backend, driver and
 #                                    # checker lanes, thread engine, serve
 #                                    # dispatcher), run without their fork
-#                                    # tests
+#                                    # tests, each suite's peak RSS printed
 #   scripts/check.sh --serve-soak N  # the CI serve-soak stage: bench_serve
 #                                    # with N sessions x 2000 ops — the
 #                                    # invariant-enforcing serving soak
@@ -258,9 +258,12 @@ case "${1:-}" in
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Tsan \
       ${configure_flags[@]+"${configure_flags[@]}"} >/dev/null
     cmake --build "$dir" --target "${suites[@]}" -j "$jobs"
+    # Each suite runs under peak_rss.py, which prints its peak RSS: TSan's
+    # shadow memory makes loops of replays grow by gigabytes.
     for t in "${suites[@]}"; do
       echo "== tsan: $t =="
       TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+        python3 scripts/peak_rss.py \
         "$dir/$t" --gtest_filter="$no_fork" --gtest_brief=1
     done
     ;;

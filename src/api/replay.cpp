@@ -94,8 +94,8 @@ std::unique_ptr<executor> build_executor(const scripted_scenario& s) {
 
 }  // namespace
 
-scripted_outcome replay(const scripted_scenario& s,
-                        const hist::check_options& opt) {
+scripted_outcome replay_unformatted(const scripted_scenario& s,
+                                    const hist::check_options& opt) {
   std::unique_ptr<executor> ex = build_executor(s);
   scripted_outcome out;
   out.report = ex->run();
@@ -128,6 +128,12 @@ scripted_outcome replay(const scripted_scenario& s,
                       static_cast<std::uint64_t>(s.persist);
   out.check = ex->check(salted);
   out.events = ex->events();
+  return out;
+}
+
+scripted_outcome replay(const scripted_scenario& s,
+                        const hist::check_options& opt) {
+  scripted_outcome out = replay_unformatted(s, opt);
   out.log_text = hist::format_log(out.events);
   return out;
 }

@@ -125,6 +125,9 @@ struct scripted_outcome {
   sim::run_report report;
   hist::check_result check;
   std::vector<hist::event> events;
+  /// hist::format_log(events), filled by replay() (and by
+  /// fuzz::check_scenario for its `primary_out`); replay_unformatted()
+  /// leaves it empty.
   std::string log_text;
 };
 
@@ -140,6 +143,13 @@ struct scripted_outcome {
 /// objects.
 scripted_outcome replay(const scripted_scenario& s,
                         const hist::check_options& opt = {});
+
+/// `replay` without its last step: `log_text` stays empty. For callers that
+/// replay many scenarios and read the text of few (the differ's variant
+/// families); `replay(s, opt)` is this followed by
+/// `hist::format_log(events)`.
+scripted_outcome replay_unformatted(const scripted_scenario& s,
+                                    const hist::check_options& opt = {});
 
 /// Line-oriented text form (v6); `parse_scenario(dump(s))` round-trips
 /// exactly.

@@ -1,8 +1,8 @@
 #include "fuzz/coverage.hpp"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <cstring>
+#include <string_view>
 
 #include "fuzz/axes.hpp"
 
@@ -16,29 +16,50 @@ namespace {
 /// a per-opcode bitmask would make nearly every scenario its own bucket,
 /// and a signature that never repeats steers nothing.
 std::string op_mix_of(const api::scripted_scenario& s) {
+  // Each declared object's registry entry, looked up once (null for a kind
+  // the registry does not know).
   const api::object_registry& reg = api::object_registry::global();
-  std::map<std::string, std::pair<unsigned, unsigned>> mask_by_family;
+  std::vector<const api::kind_info*> info_of;
+  info_of.reserve(s.objects.size());
+  for (const api::scenario_object& o : s.objects) {
+    info_of.push_back(reg.contains(o.kind) ? &reg.at(o.kind) : nullptr);
+  }
+  struct family_mix {
+    api::op_family family;
+    unsigned seen = 0;
+    unsigned full = 0;
+  };
+  std::vector<family_mix> mixes;  // one per family touched
   for (const auto& [pid, ops] : s.scripts) {
     for (const hist::op_desc& d : ops) {
       const api::scenario_object* o = s.find_object(d.object);
-      if (o == nullptr || !reg.contains(o->kind)) continue;
-      const api::op_family family = reg.at(o->kind).family;
-      const std::vector<hist::opcode>& alphabet = api::family_opcodes(family);
+      if (o == nullptr) continue;
+      const api::kind_info* info = info_of[o - s.objects.data()];
+      if (info == nullptr) continue;
+      const std::vector<hist::opcode>& alphabet =
+          api::family_opcodes(info->family);
       auto it = std::find(alphabet.begin(), alphabet.end(), d.code);
       if (it == alphabet.end()) continue;
-      auto& [seen, full] = mask_by_family[api::family_name(family)];
-      seen |= 1u << (it - alphabet.begin());
-      full = (1u << alphabet.size()) - 1;
+      auto mix = std::find_if(
+          mixes.begin(), mixes.end(),
+          [&](const family_mix& m) { return m.family == info->family; });
+      if (mix == mixes.end()) mix = mixes.insert(mix, {info->family});
+      mix->seen |= 1u << (it - alphabet.begin());
+      mix->full = (1u << alphabet.size()) - 1;
     }
   }
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [name, masks] : mask_by_family) {
-    if (!first) os << "+";
-    first = false;
-    os << name << (masks.first == masks.second ? "*" : "~");
+  std::sort(mixes.begin(), mixes.end(),
+            [](const family_mix& a, const family_mix& b) {
+              return std::strcmp(api::family_name(a.family),
+                                 api::family_name(b.family)) < 0;
+            });
+  std::string out;
+  for (const family_mix& m : mixes) {
+    if (!out.empty()) out += '+';
+    out += api::family_name(m.family);
+    out += m.seen == m.full ? '*' : '~';
   }
-  return os.str();
+  return out;
 }
 
 std::string kinds_of(const api::scripted_scenario& s) {
@@ -47,39 +68,66 @@ std::string kinds_of(const api::scripted_scenario& s) {
   for (const api::scenario_object& o : s.objects) kinds.push_back(o.kind);
   std::sort(kinds.begin(), kinds.end());
   kinds.erase(std::unique(kinds.begin(), kinds.end()), kinds.end());
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < kinds.size(); ++i) {
-    if (i != 0) os << "+";
-    os << kinds[i];
+    if (i != 0) out += '+';
+    out += kinds[i];
   }
-  return os.str();
+  return out;
+}
+
+void append_coord(std::string& out, const char* name, std::string_view value) {
+  out += '|';
+  out += name;
+  out += '=';
+  out += value;
+}
+
+void append_coord(std::string& out, const char* name, int value) {
+  out += '|';
+  out += name;
+  out += '=';
+  hist::append_int(out, value);
+}
+
+void append_scenario_key(const bucket_signature& b, std::string& out) {
+  out += "kinds=";
+  out += b.kinds;
+  append_coord(out, "mix", b.op_mix);
+  append_coord(out, "backend", b.backend);
+  append_coord(out, "shards", b.shards);
+  append_coord(out, "place", b.placement);
+  append_coord(out, "mig", b.migrated ? 1 : 0);
+  for (const model_axis& ax : model_axes()) {
+    append_coord(out, ax.coord, b.*ax.bucket_field);
+    if (ax.points_bucket != nullptr) {
+      append_coord(out, ax.points_coord, b.*ax.points_bucket);
+    }
+  }
+}
+
+void append_outcome(const bucket_signature& b, std::string& out) {
+  append_coord(out, "crash", b.crash_phase);
+  append_coord(out, "rec", b.recovery_seen ? 1 : 0);
+  append_coord(out, "decomp", b.decomposed ? 1 : 0);
+  append_coord(out, "synth", b.synthesized_interval ? 1 : 0);
+  append_coord(out, "lost", b.lost_persistence ? 1 : 0);
+  append_coord(out, "pend", b.pending_bucket);
 }
 
 }  // namespace
 
 std::string bucket_signature::scenario_key() const {
-  std::ostringstream os;
-  os << "kinds=" << kinds << "|mix=" << op_mix << "|backend=" << backend
-     << "|shards=" << shards << "|place=" << placement
-     << "|mig=" << (migrated ? 1 : 0);
-  for (const model_axis& ax : model_axes()) {
-    os << "|" << ax.coord << "=" << this->*ax.bucket_field;
-    if (ax.points_bucket != nullptr) {
-      os << "|" << ax.points_coord << "=" << this->*ax.points_bucket;
-    }
-  }
-  return os.str();
+  std::string out;
+  append_scenario_key(*this, out);
+  return out;
 }
 
 std::string bucket_signature::key() const {
-  std::ostringstream os;
-  os << scenario_key() << "|crash=" << crash_phase
-     << "|rec=" << (recovery_seen ? 1 : 0)
-     << "|decomp=" << (decomposed ? 1 : 0)
-     << "|synth=" << (synthesized_interval ? 1 : 0)
-     << "|lost=" << (lost_persistence ? 1 : 0)
-     << "|pend=" << pending_bucket;
-  return os.str();
+  std::string out;
+  append_scenario_key(*this, out);
+  append_outcome(*this, out);
+  return out;
 }
 
 bucket_signature scenario_signature(const api::scripted_scenario& s) {
@@ -125,12 +173,20 @@ bucket_signature bucket_of(const api::scripted_scenario& s,
 
 bool coverage_map::record(const bucket_signature& b) {
   ++executed_;
-  const bool novel = buckets_.insert(b.key()).second;
+  last_key_.clear();
+  append_scenario_key(b, last_key_);
+  const std::size_t scenario_length = last_key_.size();
+  append_outcome(b, last_key_);
+  const bool novel = buckets_.insert(last_key_).second;
   // Touching a scenario key records it even when its bucket is a repeat, so
   // steering stops re-rolling keys whose outcome space is exhausted too.
-  std::size_t& under = buckets_under_[b.scenario_key()];
+  const std::string_view scenario(last_key_.data(), scenario_length);
+  auto under = buckets_under_.find(scenario);
+  if (under == buckets_under_.end()) {
+    under = buckets_under_.emplace(std::string(scenario), 0).first;
+  }
   if (novel) {
-    ++under;
+    ++under->second;
     timeline_.emplace_back(executed_, buckets_.size());
   }
   return novel;

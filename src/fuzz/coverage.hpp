@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -81,6 +82,9 @@ class coverage_map {
   /// bucket is novel.
   bool record(const bucket_signature& b);
 
+  /// The key() of the signature record() saw last, built once per record.
+  const std::string& last_key() const { return last_key_; }
+
   /// Has any recorded scenario carried this scenario_key()?
   bool seen_scenario(const std::string& scenario_key) const {
     return buckets_under_.count(scenario_key) != 0;
@@ -106,7 +110,9 @@ class coverage_map {
 
  private:
   std::set<std::string> buckets_;
-  std::map<std::string, std::size_t> buckets_under_;  // per scenario_key
+  // per scenario_key; transparent, so a key's prefix is looked up in place
+  std::map<std::string, std::size_t, std::less<>> buckets_under_;
+  std::string last_key_;
   std::uint64_t executed_ = 0;
   std::vector<std::pair<std::uint64_t, std::size_t>> timeline_;
 };

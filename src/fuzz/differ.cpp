@@ -121,7 +121,7 @@ class variant_family {
     }
     if (replays_ != nullptr) ++*replays_;
     if (into == nullptr) into = &owned_.emplace_back();
-    *into = api::replay(s, copt_);
+    *into = api::replay_unformatted(s, copt_);
     seen_.emplace_back(s, into);
     return *into;
   }
@@ -271,6 +271,11 @@ std::string check_scenario(const api::scripted_scenario& s, bool diff,
                            bool placement, int check_jobs) {
   variant_family family(replays, check_jobs);
   const api::scripted_outcome& primary = family.replay(s, primary_out);
+  // The family's replays carry no log text: the primary's is the only one
+  // anyone reads, through `primary_out` or the checker's rejection below.
+  if (primary_out != nullptr) {
+    primary_out->log_text = hist::format_log(primary_out->events);
+  }
   const std::string& primary_kind = s.primary().kind;
   if (primary.report.hit_step_limit) {
     return "replay of " + primary_kind + " hit the step limit (" +
@@ -279,7 +284,9 @@ std::string check_scenario(const api::scripted_scenario& s, bool diff,
   }
   if (!primary.check.ok) {
     return "checker rejected " + primary_kind + ": " + primary.check.message +
-           "\n" + primary.log_text;
+           "\n" +
+           (primary_out != nullptr ? primary_out->log_text
+                                   : hist::format_log(primary.events));
   }
 
   if (s.shards > 1 && s.backend != api::exec_backend::threads) {

@@ -1,11 +1,16 @@
 #include "fuzz/fuzzer.hpp"
 
+#include <cxxabi.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <typeinfo>
 
 #include "fuzz/axes.hpp"
 
@@ -29,6 +34,25 @@ gen_config resolved_gen(const fuzz_options& opt,
 std::vector<std::string> resolved_kinds(const fuzz_options& opt) {
   if (!opt.kinds.empty()) return opt.kinds;
   return api::object_registry::global().kinds();
+}
+
+/// "threw: <type>: <what>" for the exception in flight; `*type` receives
+/// its type. Call only from a catch block.
+std::string describe_throw(const std::type_info** type) {
+  *type = abi::__cxa_current_exception_type();
+  std::string what = "(not a std::exception)";
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+  }
+  int status = 0;
+  char* demangled =
+      abi::__cxa_demangle((*type)->name(), nullptr, nullptr, &status);
+  std::string name = status == 0 ? demangled : (*type)->name();
+  std::free(demangled);
+  return "threw: " + name + ": " + what;
 }
 
 /// Prefix every line with "# " so a parse of the artifact skips the block.
@@ -187,16 +211,23 @@ fuzz_stats run_fuzz(
     }
 
     api::scripted_outcome primary;
-    std::string failure = check_scenario(s, opt.diff, &stats.replays, &primary,
-                                         opt.placement_equiv, opt.check_jobs);
+    std::string failure;
+    const std::type_info* thrown = nullptr;
+    try {
+      failure = check_scenario(s, opt.diff, &stats.replays, &primary,
+                               opt.placement_equiv, opt.check_jobs);
+    } catch (...) {
+      failure = describe_throw(&thrown);
+    }
     if (failure.empty()) {
       const bucket_signature b = bucket_of(s, primary);
-      if (cov.record(b)) {
+      const bool novel = cov.record(b);
+      const std::string& key = cov.last_key();
+      if (novel) {
         corpus.push_back(s);
-        stats.coverage.corpus.push_back({iter, seed, mutated, b.key()});
+        stats.coverage.corpus.push_back({iter, seed, mutated, key});
         dump_to_corpus(s, iter);
       }
-      const std::string key = b.key();
       for (std::size_t i = 0; i < axes.size(); ++i) {
         slice_accum& acc = slices[i][b.*axes[i].bucket_field];
         ++acc.executed;
@@ -207,6 +238,19 @@ fuzz_stats run_fuzz(
       continue;
     }
 
+    // The oracle: a candidate fails as the original did — by a rejection,
+    // or by a throw of the same type. Its message on failure, else empty.
+    auto fails = [&](const api::scripted_scenario& c) -> std::string {
+      try {
+        std::string msg = check_scenario(c, opt.diff, &stats.replays, nullptr,
+                                         opt.placement_equiv, opt.check_jobs);
+        return thrown == nullptr ? msg : std::string();
+      } catch (...) {
+        const std::type_info* type = nullptr;
+        std::string msg = describe_throw(&type);
+        return thrown != nullptr && *type == *thrown ? msg : std::string();
+      }
+    };
     fuzz_failure f;
     f.iteration = iter;
     f.base_seed = opt.base_seed;
@@ -217,16 +261,11 @@ fuzz_stats run_fuzz(
     f.shrunk = s;
     if (opt.shrink) {
       f.shrunk = shrink(s, [&](const api::scripted_scenario& c) {
-        return !check_scenario(c, opt.diff, &stats.replays, nullptr,
-                               opt.placement_equiv, opt.check_jobs)
-                    .empty();
+        return !fails(c).empty();
       });
       // Re-derive the message from the minimized scenario — it is the one
       // a human debugs first.
-      std::string shrunk_msg = check_scenario(f.shrunk, opt.diff,
-                                              &stats.replays, nullptr,
-                                              opt.placement_equiv,
-                                              opt.check_jobs);
+      std::string shrunk_msg = fails(f.shrunk);
       if (!shrunk_msg.empty()) f.message = shrunk_msg;
     }
     stats.failure = std::move(f);

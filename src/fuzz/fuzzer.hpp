@@ -13,7 +13,9 @@
 // mutates preferentially. The first failing iteration stops the campaign;
 // its scenario is greedily shrunk under the same oracle and reported as
 // seed + original dump + shrunk dump — the artifact CI uploads and
-// `fuzz_main --replay` reproduces.
+// `fuzz_main --replay` reproduces. An exception out of the oracle is such a
+// failure too: its message is `threw: <type>: <what>`, and the shrinker
+// keeps only candidates that still throw the same type.
 #pragma once
 
 #include <cstdint>

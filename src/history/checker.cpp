@@ -5,9 +5,9 @@
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <typeinfo>
-#include <unordered_set>
 
 #include "util/task_pool.hpp"
 
@@ -33,7 +33,7 @@ struct fingerprint {
     hi ^= hi >> 29;
   }
   // Length first, then eight bytes per word (the last one zero-padded).
-  void str(const std::string& s) noexcept {
+  void str(std::string_view s) noexcept {
     u64(s.size());
     for (std::size_t i = 0; i < s.size(); i += 8) {
       std::uint64_t word = 0;
@@ -48,9 +48,13 @@ struct fingerprint {
 lin_memo::key memo_key(const spec& sp, std::size_t node_budget,
                        std::uint64_t model_salt,
                        const std::vector<event>& events) {
+  // The spec's text goes into one buffer per thread, reused across keys.
+  thread_local std::string text;
+  text.clear();
+  sp.serialize_to(text);
   fingerprint f;
   f.str(typeid(sp).name());
-  f.str(sp.serialize());
+  f.str(text);
   f.u64(node_budget);
   f.u64(model_salt);
   f.u64(events.size());
@@ -125,6 +129,7 @@ struct proc_records {
 std::vector<op_record> build_records(const std::vector<event>& events,
                                      bool* synthesized_interval) {
   std::vector<op_record> out;
+  out.reserve(events.size() / 2);  // an invoke and a response per op, mostly
   // One slot per process, in order of first appearance; a history has few
   // processes, so a linear find is cheaper than a map.
   std::vector<proc_records> procs;
@@ -272,15 +277,31 @@ namespace {
 template <class Walk>
 void project_walk(Walk&& walk, std::vector<stay> stays) {
   if (stays.empty()) return;
-  std::stable_sort(stays.begin(), stays.end(),
-                   [](const stay& a, const stay& b) { return a.from < b.from; });
-  std::unordered_map<std::uint32_t, std::size_t> open;  // latest begun stay
+  const auto by_from = [](const stay& a, const stay& b) {
+    return a.from < b.from;
+  };
+  if (!std::is_sorted(stays.begin(), stays.end(), by_from)) {
+    std::stable_sort(stays.begin(), stays.end(), by_from);
+  }
+  // (object id, latest begun stay), sorted by id and found by bisection, so
+  // an event costs O(log objects) however many objects the history holds.
+  std::vector<std::pair<std::uint32_t, std::size_t>> open;
+  open.reserve(stays.size());
+  for (const stay& s : stays) open.emplace_back(s.id, k_npos);
+  std::sort(open.begin(), open.end());
+  open.erase(std::unique(open.begin(), open.end()), open.end());
+  const auto latest_of = [&](std::uint32_t id) -> std::size_t* {
+    const auto it = std::lower_bound(
+        open.begin(), open.end(), id,
+        [](const auto& slot, std::uint32_t key) { return slot.first < key; });
+    return it != open.end() && it->first == id ? &it->second : nullptr;
+  };
   std::size_t pos = stays.front().from;
   std::size_t begun = 0;  // stays[0, begun) began by the event
   walk(pos, [&](const event& e) {
     const std::size_t at = pos++;
     for (; begun < stays.size() && stays[begun].from <= at; ++begun) {
-      open[stays[begun].id] = begun;
+      *latest_of(stays[begun].id) = begun;
     }
     if (e.kind == event_kind::crash) {
       for (std::size_t j = 0; j < begun; ++j) {
@@ -288,8 +309,10 @@ void project_walk(Walk&& walk, std::vector<stay> stays) {
       }
       return;
     }
-    const auto it = open.find(e.desc.object);
-    if (it != open.end()) stays[it->second].events->push_back(e);
+    const std::size_t* latest = latest_of(e.desc.object);
+    if (latest != nullptr && *latest != k_npos) {
+      stays[*latest].events->push_back(e);
+    }
   });
 }
 
@@ -414,11 +437,14 @@ check_result check_durable_linearizability_per_object(
     const check_options& opt) {
   // Every op event must belong to a spec'd object — a silent skip would
   // vacuously pass histories the caller thought were being checked.
-  std::unordered_set<std::uint32_t> known;
+  // The ids are sorted and found by bisection: no scan per event.
+  std::vector<std::uint32_t> known;
   known.reserve(specs.size());
-  for (const auto& [id, sp] : specs) known.insert(id);
+  for (const auto& [id, sp] : specs) known.push_back(id);
+  std::sort(known.begin(), known.end());
   for (const event& e : events) {
-    if (e.kind != event_kind::crash && known.count(e.desc.object) == 0) {
+    if (e.kind != event_kind::crash &&
+        !std::binary_search(known.begin(), known.end(), e.desc.object)) {
       check_result res;
       res.message = "per-object check: no spec for object id " +
                     std::to_string(e.desc.object);

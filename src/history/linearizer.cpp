@@ -49,6 +49,32 @@ std::size_t mix(std::uint64_t x) {  // the splitmix64 finalizer
   return static_cast<std::size_t>(x ^ (x >> 31));
 }
 
+// The tables are reset between checks (see `workspace`). One that a large
+// search grew past k_keep elements drops its storage on reset, so a thread
+// keeps no large search's memory and a small check's reset stays short.
+constexpr std::size_t k_keep = 1024;
+
+/// Empties `v`, dropping its storage when it grew past k_keep elements.
+template <class V>
+void clear_for_reuse(V& v) {
+  if (v.capacity() > k_keep) {
+    V().swap(v);
+  } else {
+    v.clear();
+  }
+}
+
+/// Sets every slot of an open-addressing table to `free`, shrinking it to
+/// `initial` slots when it grew past k_keep.
+template <class T>
+void reset_slots(std::vector<T>& slots, std::size_t initial, T free) {
+  if (slots.size() > k_keep) {
+    slots = std::vector<T>(initial, free);
+  } else {
+    std::fill(slots.begin(), slots.end(), free);
+  }
+}
+
 /// Slots of dense ids 0, 1, 2, ... filed by their keys' hashes; the keys
 /// themselves live with the caller, which compares them (`same`) and
 /// rehashes them (`hash_of`).
@@ -75,7 +101,11 @@ class id_index {
     return {count, true};
   }
 
+  void reset() { reset_slots(slots_, k_initial, std::uint32_t{0}); }
+
  private:
+  static constexpr std::size_t k_initial = 16;
+
   void file(std::size_t hash, std::uint32_t id) {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = hash & mask;
@@ -83,7 +113,8 @@ class id_index {
     slots_[i] = id + 1;
   }
 
-  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16);  // id+1
+  std::vector<std::uint32_t> slots_ =
+      std::vector<std::uint32_t>(k_initial);  // id+1
 };
 
 /// Exact map from done masks to dense ids. Real-time order leaves few done
@@ -98,6 +129,11 @@ class mask_interner {
         [&](std::uint32_t i) { return mix(masks_[i]); });
     if (fresh) masks_.push_back(done);
     return id;
+  }
+
+  void reset() {
+    clear_for_reuse(masks_);
+    index_.reset();
   }
 
  private:
@@ -125,6 +161,12 @@ class state_interner {
       arena_.resize(begin);
     }
     return id;
+  }
+
+  void reset() {
+    clear_for_reuse(arena_);
+    clear_for_reuse(ends_);
+    index_.reset();
   }
 
  private:
@@ -161,7 +203,14 @@ class visited_set {
     return true;
   }
 
+  void reset() {
+    reset_slots(slots_, k_initial, k_free);
+    size_ = 0;
+  }
+
  private:
+  static constexpr std::size_t k_initial = 64;
+
   // No pair packs to this: it takes 2^32 - 1 distinct done masks and as
   // many distinct states, more than any search can hold in memory.
   static constexpr std::uint64_t k_free = ~std::uint64_t{0};
@@ -178,37 +227,60 @@ class visited_set {
     }
   }
 
-  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, k_free);
+  std::vector<std::uint64_t> slots_ =
+      std::vector<std::uint64_t>(k_initial, k_free);
   std::size_t size_ = 0;
 };
 
-struct search {
-  const std::vector<op_record>& ops;
+/// The search's tables, one set per thread, reset on entry to each check
+/// instead of allocated: a campaign runs thousands of checks of a few nodes
+/// each, and building these tables cost more than searching them. A check
+/// never yields while it holds them (nothing in the search suspends), so a
+/// thread runs at most one check on them at a time.
+struct workspace {
   /// Bit j of preds[i]: op j responded before op i was invoked.
   std::vector<std::uint64_t> preds;
-  /// One reusable spec per depth: states[d] holds the state after the op
-  /// linearized at depth d - 1, overwritten by each sibling branch.
-  std::vector<std::unique_ptr<spec>> states;
   mask_interner done_ids;
   state_interner state_ids;
   visited_set visited;
   std::vector<std::pair<std::size_t, bool>> chosen;  // (index, dropped)
+
+  void reset(std::size_t ops) {
+    preds.assign(ops, 0);
+    done_ids.reset();
+    state_ids.reset();
+    visited.reset();
+    chosen.clear();
+  }
+};
+
+workspace& thread_workspace() {
+  thread_local workspace w;
+  return w;
+}
+
+struct search {
+  const std::vector<op_record>& ops;
+  workspace& w;
+  /// One reusable spec per depth: states[d] holds the state after the op
+  /// linearized at depth d - 1, overwritten by each sibling branch.
+  std::vector<std::unique_ptr<spec>> states;
   std::size_t budget;
   std::size_t nodes = 0;
   std::size_t best_depth = 0;
 
-  explicit search(const std::vector<op_record>& o, std::size_t b)
-      : ops(o), preds(o.size(), 0), states(o.size() + 1), budget(b) {
+  search(const std::vector<op_record>& o, workspace& ws, std::size_t b)
+      : ops(o), w(ws), states(o.size() + 1), budget(b) {
+    w.reset(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       for (std::size_t j = 0; j < ops.size(); ++j) {
         if (j == i) continue;
         if (ops[j].response_index != k_npos &&
             ops[j].response_index < ops[i].invoke_index) {
-          preds[i] |= std::uint64_t{1} << j;
+          w.preds[i] |= std::uint64_t{1} << j;
         }
       }
     }
-    chosen.reserve(ops.size());
   }
 
   // Returns true on success; false when this subtree has no linearization.
@@ -220,7 +292,8 @@ struct search {
     if (budget-- == 0) throw std::length_error("budget");
     ++nodes;
 
-    if (!visited.insert(done_ids.intern(done), state_ids.intern(state))) {
+    if (!w.visited.insert(w.done_ids.intern(done),
+                           w.state_ids.intern(state))) {
       return false;
     }
 
@@ -229,7 +302,7 @@ struct search {
     std::unique_ptr<spec>& next = states[depth + 1];
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const std::uint64_t bit = std::uint64_t{1} << i;
-      if ((done & bit) != 0 || (preds[i] & ~done) != 0) continue;
+      if ((done & bit) != 0 || (w.preds[i] & ~done) != 0) continue;
       const std::uint64_t done2 = done | bit;
       // Branch 1: linearize op i here.
       if (next) {
@@ -239,15 +312,15 @@ struct search {
       }
       value_t resp = next->apply(ops[i].desc);
       if (!ops[i].has_response || resp == ops[i].response) {
-        chosen.emplace_back(i, false);
+        w.chosen.emplace_back(i, false);
         if (dfs(done2, *next)) return true;
-        chosen.pop_back();
+        w.chosen.pop_back();
       }
       // Branch 2: drop op i (only if the model allows it).
       if (ops[i].optional) {
-        chosen.emplace_back(i, true);
+        w.chosen.emplace_back(i, true);
         if (dfs(done2, state)) return true;
-        chosen.pop_back();
+        w.chosen.pop_back();
       }
     }
     return false;
@@ -264,12 +337,13 @@ lin_result check_linearizable(const std::vector<op_record>& ops,
               std::to_string(ops.size());
     return r;
   }
-  search s(ops, node_budget);
+  search s(ops, thread_workspace(), node_budget);
   try {
     if (s.dfs(0, initial)) {
       r.linearizable = true;
       r.nodes = s.nodes;
-      for (auto [idx, dropped] : s.chosen) {
+      r.witness.reserve(s.w.chosen.size());
+      for (auto [idx, dropped] : s.w.chosen) {
         if (!dropped) r.witness.push_back(idx);
       }
       return r;

@@ -16,6 +16,8 @@
 // predecessors are one bit mask per op, the spec state is kept once per
 // depth and overwritten in place (spec::assign_from), and the memo key is
 // one word, (done-mask id, state id), both interned through exact tables.
+// Those tables live in a per-thread workspace that each check resets on
+// entry, so a small check allocates none of them.
 #pragma once
 
 #include <cstddef>

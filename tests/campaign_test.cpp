@@ -18,6 +18,7 @@
 
 #include "api/api.hpp"
 #include "fuzz/fuzz.hpp"
+#include "test_util.hpp"
 #include "util/task_pool.hpp"
 
 namespace {
@@ -249,6 +250,37 @@ TEST(campaign, disk_corpus_round_trips_and_survives_garbage) {
   fuzz::fuzz_stats second = fuzz::run_fuzz(steered);
   EXPECT_FALSE(second.failure) << second.failure->message;
   EXPECT_EQ(second.coverage.executed, 30u);
+}
+
+// A throw out of the library fails the campaign the way a rejection does —
+// exit code 1 and a replayable artifact — inline and in a forked worker,
+// which no longer dies with it.
+TEST(campaign, a_throw_exits_1_with_an_artifact) {
+  test::register_throwing_counter_once();
+  const fs::path dir = scratch_dir("throw");
+  for (int jobs : {1, 2}) {
+    fuzz::campaign_config cfg;
+    cfg.iterations(20).seed(5).jobs(jobs).quiet(true);
+    cfg.kinds({"test_throwing_counter"});
+    cfg.artifact_dir((dir / ("arts" + std::to_string(jobs))).string());
+    fuzz::campaign_result r = fuzz::run_campaign(cfg);
+    EXPECT_EQ(r.exit_code, 1) << "jobs " << jobs;
+    bool artifact = false;
+    for (const fuzz::worker_report& w : r.workers) {
+      EXPECT_FALSE(w.lost || w.error) << "jobs " << jobs;
+      if (!w.failed) continue;
+      ASSERT_FALSE(w.failure_artifact.empty()) << "jobs " << jobs;
+      std::ifstream in(w.failure_artifact);
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      EXPECT_NE(buf.str().find("# threw: std::domain_error: "),
+                std::string::npos);
+      EXPECT_THROW(fuzz::check_scenario(api::parse_scenario(buf.str())),
+                   std::domain_error);
+      artifact = true;
+    }
+    EXPECT_TRUE(artifact) << "jobs " << jobs;
+  }
 }
 
 // jobs > 1 with a single iteration stays inline — nothing to partition.

@@ -8,8 +8,11 @@
 // checker output is a function of the history alone. The 500-seed corpus
 // here is the same generator slice the engine A/B test replays.
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "api/api.hpp"
 #include "fuzz/scenario_gen.hpp"
 #include "history/checker.hpp"
+#include "history/linearizer.hpp"
 
 namespace {
 
@@ -224,6 +228,85 @@ TEST(check_parallel, memo_option_matches_the_plain_replay) {
   api::scripted_outcome warm = api::replay(s, opt);  // served by the memo
   expect_same_check(base.check, warm.check, 77);
   EXPECT_GT(memo.hits(), 0u);
+}
+
+// check_linearizable keeps its search tables per thread and resets them on
+// entry. A check that runs after others on the same thread must give what
+// it gives on a fresh thread, whatever came before: a search cut short by
+// its node budget (dfs throws partway), a spec of another type, and a
+// large search that grows every table.
+struct lin_case {
+  std::vector<hist::op_record> records;
+  std::unique_ptr<hist::spec> sp;
+  std::size_t budget;
+};
+
+lin_case single_object_case(std::uint64_t seed, const char* kind, int procs,
+                            int ops, hist::value_t values, bool crashes,
+                            std::size_t budget) {
+  fuzz::gen_config g;
+  g.min_procs = g.max_procs = procs;
+  g.min_ops = g.max_ops = ops;
+  g.value_range = values;
+  g.crashes = crashes;
+  g.max_objects = 1;
+  g.max_shards = 1;
+  g.allow_sharded_backend = false;
+  g.allow_migrations = false;
+  const api::scripted_scenario s = fuzz::generate(seed, kind, g);
+  const api::scenario_object& o = s.primary();
+  return {hist::build_records(api::replay(s).events),
+          api::object_registry::global().make_spec(o.kind, o.params), budget};
+}
+
+void expect_same_lin(const hist::lin_result& a, const hist::lin_result& b,
+                     std::size_t i) {
+  EXPECT_EQ(a.linearizable, b.linearizable) << "check " << i;
+  EXPECT_EQ(a.exhausted_budget, b.exhausted_budget) << "check " << i;
+  EXPECT_EQ(a.nodes, b.nodes) << "check " << i;
+  EXPECT_EQ(a.witness, b.witness) << "check " << i;
+  EXPECT_EQ(a.error, b.error) << "check " << i;
+}
+
+TEST(check_parallel, reused_linearizer_tables_give_fresh_results) {
+  std::vector<lin_case> cases;
+  // Seed 30 is the largest stack 4x10 search among the first 60 seeds.
+  cases.push_back(single_object_case(30, "stack", 4, 10, 8, true, 50));
+  cases.push_back(single_object_case(1, "queue", 2, 4, 4, false,
+                                     hist::k_default_node_budget));
+  cases.push_back(single_object_case(30, "stack", 4, 10, 8, true,
+                                     hist::k_default_node_budget));
+  cases.push_back(single_object_case(1, "reg", 1, 3, 4, false,
+                                     hist::k_default_node_budget));
+  const auto run = [&](std::size_t i) {
+    return hist::check_linearizable(cases[i].records, *cases[i].sp,
+                                    cases[i].budget);
+  };
+  const auto on_own_thread = [](const std::function<void()>& f) {
+    std::thread th(f);
+    th.join();
+  };
+
+  std::vector<hist::lin_result> fresh(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    on_own_thread([&] { fresh[i] = run(i); });
+  }
+  std::vector<hist::lin_result> reused(cases.size());
+  on_own_thread([&] {
+    for (std::size_t i = 0; i < cases.size(); ++i) reused[i] = run(i);
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    expect_same_lin(reused[i], fresh[i], i);
+  }
+
+  // The cases are what they claim to be.
+  EXPECT_TRUE(fresh[0].exhausted_budget);
+  const hist::spec& stack_spec = *cases[0].sp;
+  const hist::spec& queue_spec = *cases[1].sp;
+  EXPECT_NE(typeid(queue_spec), typeid(stack_spec));
+  EXPECT_FALSE(fresh[2].exhausted_budget);
+  EXPECT_GT(fresh[2].nodes, 500u);
+  EXPECT_EQ(cases[3].records.size(), 3u);
 }
 
 }  // namespace

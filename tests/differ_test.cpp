@@ -244,6 +244,30 @@ TEST(differ_pin, stage_failure_messages) {
   EXPECT_EQ(h, 16176775528308875252ULL);
 }
 
+// The variant family's replays format no log text; check_scenario formats
+// the primary's for `primary_out` and for a rejection. The rejection reads
+// the same either way, and the stored text is the event log's.
+TEST(differ, rejection_text_does_not_depend_on_primary_out) {
+  test::register_lying_counter_once();
+  api::scripted_scenario s;
+  s.objects.push_back({0, "test_lying_counter", {}});
+  s.nprocs = 2;
+  s.scripts[0] = {{0, hist::opcode::ctr_add, 2, 0, 0},
+                  {0, hist::opcode::ctr_read, 0, 0, 0}};
+  s.scripts[1] = {{0, hist::opcode::ctr_add, 1, 0, 0}};
+  for (bool diff : {false, true}) {
+    const std::string bare = fuzz::check_scenario(s, diff);
+    api::scripted_outcome primary;
+    const std::string stored = fuzz::check_scenario(s, diff, nullptr, &primary);
+    EXPECT_EQ(bare.rfind("checker rejected test_lying_counter: ", 0), 0u)
+        << bare;
+    EXPECT_EQ(bare, stored);
+    EXPECT_FALSE(primary.log_text.empty());
+    EXPECT_EQ(primary.log_text, hist::format_log(primary.events));
+    EXPECT_NE(bare.find(primary.log_text), std::string::npos);
+  }
+}
+
 // One process, a migration and a crash plan on a detectable counter: the
 // single and sharded replays (modulo placement) and the placement variants
 // (hash placement) meet different crash schedules, so only their verdicts

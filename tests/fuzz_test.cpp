@@ -510,6 +510,37 @@ TEST(coverage, bucket_signature_reflects_scenario_and_outcome) {
   EXPECT_FALSE(cb.decomposed);
 }
 
+// The bytes of both coverage keys over 1,000 generated scenarios, each
+// bucketed from its own replay: any change to a coordinate's name, value,
+// order or separator moves the hash. Steering and every coverage.json table
+// key on these strings.
+std::uint64_t hash_coverage_keys(const fuzz::gen_config& cfg) {
+  std::uint64_t h = test::k_fnv_basis;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const std::string& kind = g_builtin_kinds[seed % g_builtin_kinds.size()];
+    const api::scripted_scenario s = fuzz::generate(seed, kind, cfg);
+    const fuzz::bucket_signature b = fuzz::bucket_of(s, api::replay(s));
+    h = test::fnv(h, b.scenario_key());
+    h = test::fnv(h, b.key());
+  }
+  return h;
+}
+
+TEST(coverage_pin, keys_under_default_pools) {
+  fuzz::gen_config cfg;
+  cfg.object_kind_pool = g_builtin_kinds;
+  EXPECT_EQ(hash_coverage_keys(cfg), 11467961905729994386ULL);
+}
+
+TEST(coverage_pin, keys_under_mixed_model_pools) {
+  fuzz::gen_config cfg;
+  cfg.object_kind_pool = g_builtin_kinds;
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  cfg.visibility_pool = {"sc", "tso", "pso"};
+  EXPECT_EQ(hash_coverage_keys(cfg), 14743051081797087439ULL);
+}
+
 TEST(coverage, map_counts_distinct_buckets_and_timeline) {
   fuzz::coverage_map cov;
   fuzz::bucket_signature a;
@@ -1472,6 +1503,29 @@ TEST(run_fuzz, reports_and_shrinks_a_failing_kind) {
   // The shrunk scenario still fails the same oracle.
   EXPECT_FALSE(fuzz::check_scenario(f.shrunk).empty());
   // And the artifact parses back to it.
+  EXPECT_EQ(api::dump(api::parse_scenario(f.to_artifact())),
+            api::dump(f.shrunk));
+}
+
+// A kind that throws out of the library is a finding, not a lost worker:
+// the throw is filed with its type and message, and the scenario shrinks
+// while it still throws the same type.
+TEST(run_fuzz, a_throw_becomes_a_shrunk_failure) {
+  test::register_throwing_counter_once();
+  fuzz::fuzz_options opt;
+  opt.base_seed = 5;
+  opt.iterations = 50;
+  opt.kinds = {"test_throwing_counter"};
+
+  fuzz::fuzz_stats stats = fuzz::run_fuzz(opt);
+  ASSERT_TRUE(stats.failure.has_value());
+  const fuzz::fuzz_failure& f = *stats.failure;
+  EXPECT_EQ(f.kind, "test_throwing_counter");
+  EXPECT_EQ(f.message,
+            "threw: std::domain_error: test_throwing_counter: add(3)");
+  EXPECT_LT(f.shrunk.total_ops(), f.scenario.total_ops());
+  EXPECT_EQ(f.shrunk.total_ops(), 1u) << api::dump(f.shrunk);
+  EXPECT_THROW(fuzz::check_scenario(f.shrunk), std::domain_error);
   EXPECT_EQ(api::dump(api::parse_scenario(f.to_artifact())),
             api::dump(f.shrunk));
 }

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -207,6 +208,48 @@ inline void register_lying_counter_once() {
   info.make = [](const api::object_env& e, const api::object_params& p) {
     api::created_object c;
     c.owned.push_back(std::make_unique<lying_counter>(
+        api::object_registry::global().create("counter", e, p)));
+    return c;
+  };
+  info.make_spec = [](const api::object_params& p) {
+    return api::object_registry::global().make_spec("counter", p);
+  };
+  reg.add(std::move(info));
+}
+
+/// A counter that throws std::domain_error out of every add of 3: a bug
+/// that surfaces as an exception from the library, not as a wrong answer.
+struct throwing_counter : core::detectable_object {
+  api::created_object inner;
+
+  explicit throwing_counter(api::created_object in) : inner(std::move(in)) {}
+
+  hist::value_t invoke(int pid, const hist::op_desc& op) override {
+    if (op.code == hist::opcode::ctr_add && op.a == 3) {
+      throw std::domain_error("test_throwing_counter: add(3)");
+    }
+    return inner.primary().invoke(pid, op);
+  }
+  core::recovery_result recover(int pid, const hist::op_desc& op) override {
+    return inner.primary().recover(pid, op);
+  }
+  bool wants_aux_reset() const override {
+    return inner.primary().wants_aux_reset();
+  }
+};
+
+/// Register throwing_counter as the non-detectable counter-family kind
+/// "test_throwing_counter" (idempotent).
+inline void register_throwing_counter_once() {
+  auto& reg = api::object_registry::global();
+  if (reg.contains("test_throwing_counter")) return;
+  api::kind_info info;
+  info.name = "test_throwing_counter";
+  info.family = api::op_family::counter;
+  info.detectable = false;
+  info.make = [](const api::object_env& e, const api::object_params& p) {
+    api::created_object c;
+    c.owned.push_back(std::make_unique<throwing_counter>(
         api::object_registry::global().create("counter", e, p)));
     return c;
   };
