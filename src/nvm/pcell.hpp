@@ -8,11 +8,18 @@
 // persisted image (`persisted_`); `flush()` copies cache → NVM and a crash
 // reverts NVM → cache.
 //
-// Width: free-running (multi-threaded benchmark) mode relies on std::atomic,
-// so T must be trivially copyable; lock-freedom holds up to 16 bytes on
-// x86-64 with -mcx16 (Algorithm 2 packs ⟨value, vec⟩ into exactly 16 bytes).
-// Under the simulator all accesses are serialized by the step token, so even
-// a non-lock-free std::atomic specialization remains correct.
+// Width: T must be trivially copyable and free of padding bytes (CAS
+// compares bytes, as std::atomic does). How an access is made follows the
+// domain's sharing mode (nvm/stats.hpp), fixed when the domain is built:
+//   * shared   — every access is a seq_cst atomic through std::atomic_ref<T>,
+//     so threads may touch the cell at once (the threads backend, the global
+//     domain, E6's bare domains). Lock-freedom holds up to 16 bytes on
+//     x86-64 with -mcx16 (Algorithm 2 packs ⟨value, vec⟩ into exactly 16
+//     bytes); without it GCC calls libatomic.
+//   * confined — the cell is plain memory. One thread at a time touches the
+//     domain and each hands over to the next through a synchronizing
+//     handoff; under the simulator the step token already makes every access
+//     one atomic step, so a locked instruction would buy nothing.
 #pragma once
 
 #include <atomic>
@@ -29,6 +36,8 @@ template <typename T>
 class pcell final : public persistent_base {
   static_assert(std::is_trivially_copyable_v<T>,
                 "persistent cells hold raw memory words");
+  static_assert(std::has_unique_object_representations_v<T>,
+                "compare_exchange compares bytes, so T may have no padding");
 
  public:
   explicit pcell(T init = T{}, pmem_domain& dom = pmem_domain::global())
@@ -50,7 +59,7 @@ class pcell final : public persistent_base {
         if (b->forward(*this, &fwd, sizeof(T))) return fwd;
       }
     }
-    T v = cur_.load(std::memory_order_seq_cst);
+    T v = get(cur_, std::memory_order_seq_cst);
     after_read(v);
     return v;
   }
@@ -67,7 +76,7 @@ class pcell final : public persistent_base {
         return;
       }
     }
-    cur_.store(v, std::memory_order_seq_cst);
+    put(cur_, v, std::memory_order_seq_cst);
     after_write(v);
   }
 
@@ -76,8 +85,18 @@ class pcell final : public persistent_base {
   bool compare_exchange(T& expected, T desired) {
     hook_access(access::shared_cas);
     dom_->counters().add_shared_cas();
-    bool ok = cur_.compare_exchange_strong(expected, desired,
-                                           std::memory_order_seq_cst);
+    bool ok;
+    if (dom_->confined()) {
+      ok = std::memcmp(&cur_, &expected, sizeof(T)) == 0;
+      if (ok) {
+        cur_ = desired;
+      } else {
+        expected = cur_;
+      }
+    } else {
+      ok = std::atomic_ref<T>(cur_).compare_exchange_strong(
+          expected, desired, std::memory_order_seq_cst);
+    }
     after_write(ok ? desired : expected);
     return ok;
   }
@@ -86,7 +105,13 @@ class pcell final : public persistent_base {
   T exchange(T v) {
     hook_access(access::shared_exchange);
     dom_->counters().add_shared_exchange();
-    T old = cur_.exchange(v, std::memory_order_seq_cst);
+    T old;
+    if (dom_->confined()) {
+      old = cur_;
+      cur_ = v;
+    } else {
+      old = std::atomic_ref<T>(cur_).exchange(v, std::memory_order_seq_cst);
+    }
     after_write(v);
     return old;
   }
@@ -100,16 +125,30 @@ class pcell final : public persistent_base {
 
   /// Debug/metrics read that bypasses the hook and counters. Not part of the
   /// algorithmic access sequence; never use from operation code.
-  T peek() const noexcept { return cur_.load(std::memory_order_relaxed); }
+  T peek() const noexcept { return get(cur_, std::memory_order_relaxed); }
 
   /// Persisted image (what a crash would revert to). Debug/tests only.
   T peek_persisted() const noexcept {
-    return persisted_.load(std::memory_order_relaxed);
+    return get(persisted_, std::memory_order_relaxed);
   }
 
   pmem_domain& domain() const noexcept { return *dom_; }
 
  private:
+  /// Read or write one of the cell's two words as the domain's sharing mode
+  /// allows: plainly when confined, atomically with order `mo` when shared.
+  T get(T& word, std::memory_order mo) const noexcept {
+    if (dom_->confined()) return word;
+    return std::atomic_ref<T>(word).load(mo);
+  }
+  void put(T& word, T v, std::memory_order mo) const noexcept {
+    if (dom_->confined()) {
+      word = v;
+    } else {
+      std::atomic_ref<T>(word).store(v, mo);
+    }
+  }
+
   /// Drain-time replay of a buffered store: apply the raw value to the cell
   /// with the same memory order and persistency side effects the direct
   /// store path would have had (wmm::store_buffer::apply_fn).
@@ -117,7 +156,7 @@ class pcell final : public persistent_base {
     auto& self = static_cast<pcell&>(cell);
     T v;
     std::memcpy(&v, raw, sizeof(T));
-    self.cur_.store(v, std::memory_order_seq_cst);
+    self.put(self.cur_, v, std::memory_order_seq_cst);
     self.after_write(v);
   }
 
@@ -134,7 +173,7 @@ class pcell final : public persistent_base {
       return;
     }
     if (dom_->model() == cache_model::private_cache) {
-      persisted_.store(v, std::memory_order_relaxed);
+      put(persisted_, v, std::memory_order_relaxed);
     } else if (dom_->auto_persist()) {
       flush_in_step();
       dom_->fence();
@@ -143,30 +182,31 @@ class pcell final : public persistent_base {
   void after_read(T) const noexcept {
     if (dom_->buffered()) return;
     if (dom_->model() == cache_model::shared_cache && dom_->auto_persist()) {
-      persisted_.store(cur_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
+      persist_word();
       dom_->counters().add_flush();
       dom_->fence();
     }
   }
   void flush_in_step() noexcept {
-    persisted_.store(cur_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+    persist_word();
     dom_->counters().add_flush();
   }
 
+  /// Copy the cached value to the persisted image.
+  void persist_word() const noexcept {
+    put(persisted_, get(cur_, std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
+
   void revert_to_persisted() noexcept override {
-    cur_.store(persisted_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
+    put(cur_, get(persisted_, std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
-  void persist_now() noexcept override {
-    persisted_.store(cur_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  }
+  void persist_now() noexcept override { persist_word(); }
   std::size_t image_size() const noexcept override { return sizeof(T); }
   void save_raw(std::uint8_t* cur, std::uint8_t* persisted) const override {
-    const T c = cur_.load(std::memory_order_relaxed);
-    const T p = persisted_.load(std::memory_order_relaxed);
+    const T c = get(cur_, std::memory_order_relaxed);
+    const T p = get(persisted_, std::memory_order_relaxed);
     std::memcpy(cur, &c, sizeof(T));
     std::memcpy(persisted, &p, sizeof(T));
   }
@@ -175,15 +215,16 @@ class pcell final : public persistent_base {
     T c, p;
     std::memcpy(&c, cur, sizeof(T));
     std::memcpy(&p, persisted, sizeof(T));
-    cur_.store(c, std::memory_order_relaxed);
-    persisted_.store(p, std::memory_order_relaxed);
+    put(cur_, c, std::memory_order_relaxed);
+    put(persisted_, p, std::memory_order_relaxed);
     // A migrated image may arrive with cur != persisted; keep the buffered
     // journal's every-divergence-is-journaled invariant.
     if (dom_->buffered()) dom_->note_dirty(*this);
   }
 
-  mutable std::atomic<T> cur_;
-  mutable std::atomic<T> persisted_;
+  // Aligned for std::atomic_ref, which a shared domain's accesses go through.
+  alignas(std::atomic_ref<T>::required_alignment) mutable T cur_;
+  alignas(std::atomic_ref<T>::required_alignment) mutable T persisted_;
   pmem_domain* dom_;
 };
 

@@ -141,7 +141,8 @@ class pmem_domain {
   /// bumps its instruction counters with a plain load and store, and
   /// attach, detach, drain_journal, crash_reset, persist_all and
   /// set_attach_recorder skip the mutex and update the footprint counters
-  /// the same way; a shared domain locks and uses fetch_add.
+  /// the same way, and its cells use plain loads and stores; a shared domain
+  /// locks, uses fetch_add, and its cells use seq_cst atomics.
   explicit pmem_domain(stats::sharing counting = stats::sharing::shared)
       : stats_(counting) {}
   pmem_domain(const pmem_domain&) = delete;
@@ -150,6 +151,12 @@ class pmem_domain {
   /// Process-wide default domain. Individual worlds/tests may instantiate
   /// their own to isolate crash bookkeeping.
   static pmem_domain& global();
+
+  /// True when the domain was built stats::sharing::confined: its cells are
+  /// then plain memory (see nvm/pcell.hpp).
+  bool confined() const noexcept {
+    return stats_.mode() == stats::sharing::confined;
+  }
 
   cache_model model() const noexcept { return model_; }
   void set_model(cache_model m) noexcept { model_ = m; }
@@ -246,9 +253,6 @@ class pmem_domain {
   std::unique_lock<std::mutex> lock() noexcept {
     return confined() ? std::unique_lock<std::mutex>{}
                       : std::unique_lock<std::mutex>{mu_};
-  }
-  bool confined() const noexcept {
-    return stats_.mode() == stats::sharing::confined;
   }
   /// Add `delta` to a footprint counter as the instruction counters count.
   void count(std::atomic<std::uint64_t>& c, std::int64_t delta) noexcept {

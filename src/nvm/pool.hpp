@@ -10,10 +10,11 @@
 // into CAS-able words; index `null_ref` plays the role of nullptr.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <stdexcept>
-#include <vector>
 
 #include "nvm/pcell.hpp"
 
@@ -24,35 +25,64 @@ inline constexpr std::uint32_t null_ref = 0xffffffffu;
 template <typename Node>
 class pmem_pool {
  public:
+  /// Builds all `capacity` nodes in one allocation, in index order after the
+  /// frontier, so the cells attach in the order a cell group records them.
   explicit pmem_pool(std::size_t capacity,
                      pmem_domain& dom = pmem_domain::global())
-      : dom_(&dom), frontier_(0, dom) {
-    slots_.reserve(capacity);
-    for (std::size_t i = 0; i < capacity; ++i) {
-      slots_.push_back(std::make_unique<Node>(dom));
+      : dom_(&dom),
+        frontier_(0, dom),
+        slots_(std::make_unique_for_overwrite<slot[]>(capacity)) {
+    try {
+      for (; built_ < capacity; ++built_) {
+        ::new (static_cast<void*>(slots_[built_].raw)) Node(dom);
+      }
+    } catch (...) {
+      destroy_nodes();
+      throw;
     }
   }
+  ~pmem_pool() { destroy_nodes(); }
+  pmem_pool(const pmem_pool&) = delete;
+  pmem_pool& operator=(const pmem_pool&) = delete;
 
   /// Claim a fresh node; returns its index. The bump itself is one shared
   /// step (the frontier is a shared cell: any process may allocate).
   std::uint32_t allocate() {
     std::uint32_t idx = frontier_.load();
     for (;;) {
-      if (idx >= slots_.size()) throw std::runtime_error("pmem_pool exhausted");
+      if (idx >= built_) throw std::runtime_error("pmem_pool exhausted");
       if (frontier_.compare_exchange(idx, idx + 1)) return idx;
     }
   }
 
-  Node& at(std::uint32_t idx) { return *slots_.at(idx); }
-  const Node& at(std::uint32_t idx) const { return *slots_.at(idx); }
+  Node& at(std::uint32_t idx) { return *checked(idx); }
+  const Node& at(std::uint32_t idx) const { return *checked(idx); }
 
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t capacity() const noexcept { return built_; }
   std::uint32_t allocated() const noexcept { return frontier_.peek(); }
 
  private:
+  /// Storage for one node, constructed in place.
+  struct slot {
+    alignas(Node) unsigned char raw[sizeof(Node)];
+  };
+
+  Node* node(std::size_t idx) const noexcept {
+    return std::launder(reinterpret_cast<Node*>(slots_[idx].raw));
+  }
+  Node* checked(std::uint32_t idx) const {
+    if (idx >= built_) throw std::out_of_range("pmem_pool: no such node");
+    return node(idx);
+  }
+  void destroy_nodes() noexcept {
+    for (std::size_t i = 0; i < built_; ++i) node(i)->~Node();
+  }
+
   pmem_domain* dom_;
   pcell<std::uint32_t> frontier_;
-  std::vector<std::unique_ptr<Node>> slots_;
+  std::unique_ptr<slot[]> slots_;
+  /// Nodes constructed in slots_ (all of them once the constructor returns).
+  std::size_t built_ = 0;
 };
 
 }  // namespace detect::nvm

@@ -16,7 +16,8 @@
 // The mode cannot change after construction. A pmem_domain built confined
 // applies the same rule to the rest of its bookkeeping: its cell list,
 // journal and footprint counters take no mutex and no locked instruction
-// (see nvm/pmem.hpp).
+// (see nvm/pmem.hpp), and its cells are plain memory, read and written
+// without atomics (see nvm/pcell.hpp).
 #pragma once
 
 #include <atomic>

@@ -330,15 +330,21 @@ std::string world::describe_schedule() const {
 // ---------------------------------------------------------------------------
 // policies
 
+divisor::divisor(std::uint64_t d) noexcept : d_(d) {
+  assert(d > 0);
+  // For d == 1 the sum wraps to 0, and remainder() returns 0 as it must.
+  m_ = ~u128{0} / d + 1;
+}
+
 int round_robin_scheduler::pick(const std::vector<int>& runnable,
                                 std::uint64_t) {
-  int pid = runnable[next_ % runnable.size()];
+  int pid = runnable[mods_.remainder(next_, runnable.size())];
   ++next_;
   return pid;
 }
 
 int random_scheduler::pick(const std::vector<int>& runnable, std::uint64_t) {
-  return runnable[next_rand(state_) % runnable.size()];
+  return runnable[mods_.remainder(next_rand(state_), runnable.size())];
 }
 
 int scripted_scheduler::pick(const std::vector<int>& runnable, std::uint64_t) {

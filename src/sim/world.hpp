@@ -26,6 +26,7 @@
 // in submit() and crash(), and only those are followed by a scan.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -245,6 +246,53 @@ class world final : private step_relay {
 };
 
 // ---------------------------------------------------------------------------
+// Division-free remainders for the stock schedulers' picks.
+
+/// `x % d` for a divisor fixed in advance, computed with multiplications
+/// instead of a divide instruction (Lemire, Kaser & Kurz, "Faster Remainder
+/// by Direct Computation", 2019): with the 128-bit reciprocal
+/// m = floor((2^128 - 1) / d) + 1, the remainder is the top 64 bits of
+/// (m * x mod 2^128) * d. Exact for every 64-bit x and d >= 1.
+class divisor {
+ public:
+  divisor() = default;  // unset; d() == 0
+  explicit divisor(std::uint64_t d) noexcept;
+
+  std::uint64_t d() const noexcept { return d_; }
+
+  std::uint64_t remainder(std::uint64_t x) const noexcept {
+    const u128 low = m_ * x;  // the fraction x / d, mod 2^128
+    const u128 lo_d = (low & ~std::uint64_t{0}) * d_;
+    const u128 hi_d = (low >> 64) * d_;
+    return static_cast<std::uint64_t>(((lo_d >> 64) + hi_d) >> 64);
+  }
+
+ private:
+  __extension__ typedef unsigned __int128 u128;
+
+  u128 m_ = 0;
+  std::uint64_t d_ = 0;
+};
+
+/// Remainders by the small divisors a scheduler meets, the candidate-set
+/// sizes: each size's reciprocal is computed on its first use and kept, so
+/// no pick pays for a 128-bit division.
+class remainder_cache {
+ public:
+  /// `x % n`; `n` must be positive (a scheduler never picks from nothing).
+  std::size_t remainder(std::uint64_t x, std::size_t n) {
+    assert(n > 0);
+    if (n >= by_size_.size()) by_size_.resize(n + 1);
+    divisor& dv = by_size_[n];
+    if (dv.d() == 0) dv = divisor(n);
+    return static_cast<std::size_t>(dv.remainder(x));
+  }
+
+ private:
+  std::vector<divisor> by_size_;  // indexed by n; d() == 0 until first use
+};
+
+// ---------------------------------------------------------------------------
 // Stock scheduling policies.
 
 class round_robin_scheduler final : public scheduler {
@@ -254,6 +302,7 @@ class round_robin_scheduler final : public scheduler {
 
  private:
   std::size_t next_ = 0;
+  remainder_cache mods_;
 };
 
 class random_scheduler final : public scheduler {
@@ -268,6 +317,7 @@ class random_scheduler final : public scheduler {
  private:
   std::uint64_t state_;
   std::uint64_t seed_;
+  remainder_cache mods_;
 };
 
 /// Follows a fixed pid script; falls back to lowest-pid when the scripted pid

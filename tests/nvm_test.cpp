@@ -7,10 +7,12 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "core/detectable_cas.hpp"
 #include "nvm/pcell.hpp"
 #include "nvm/pmem.hpp"
 #include "nvm/pool.hpp"
 #include "nvm/pvar.hpp"
+#include "sim/world.hpp"
 
 namespace {
 
@@ -126,6 +128,102 @@ TEST(pcell, sixteen_byte_cells_work) {
   wide expect{1, 2};
   EXPECT_TRUE(c.compare_exchange(expect, wide{3, 4}));
   EXPECT_EQ(c.load(), (wide{3, 4}));
+}
+
+// What one cell shows through every operation, in a shared-cache domain
+// built `mode`: the values its reads, CAS and exchange return, every CAS
+// outcome and crash loss, and the domain's instruction counts.
+template <typename T>
+struct cell_trace {
+  std::vector<T> seen;
+  std::vector<bool> flags;
+  std::vector<std::uint64_t> counts;
+};
+
+template <typename T>
+cell_trace<T> trace_cell(nvm::stats::sharing mode, T v0, T v1, T v2, T v3) {
+  cell_trace<T> t;
+  nvm::pmem_domain dom(mode);
+  dom.set_model(nvm::cache_model::shared_cache);
+  nvm::pcell<T> c(v0, dom);
+  t.seen.push_back(c.load());  // v0
+  c.store(v1);
+  t.seen.push_back(c.load());            // v1
+  t.seen.push_back(c.peek_persisted());  // v0: not flushed
+  T expected = v1;
+  t.flags.push_back(c.compare_exchange(expected, v2));  // true
+  t.seen.push_back(expected);                           // v1, untouched
+  expected = v0;
+  t.flags.push_back(c.compare_exchange(expected, v3));  // false
+  t.seen.push_back(expected);                           // v2, refreshed
+  t.seen.push_back(c.exchange(v3));                     // v2
+  c.flush();
+  t.seen.push_back(c.peek_persisted());  // v3
+  c.store(v0);
+  dom.crash_reset();
+  t.seen.push_back(c.load());  // v3: the unflushed v0 is reverted
+  // Buffered journal: a store is lost unless an epoch boundary drains it.
+  dom.set_persist_model(nvm::persist_model::buffered);
+  c.store(v1);
+  dom.crash_reset();
+  t.flags.push_back(dom.last_crash_lost());  // true
+  t.seen.push_back(c.load());                // v3
+  c.store(v2);
+  dom.epoch_boundary();
+  dom.crash_reset();
+  t.flags.push_back(dom.last_crash_lost());  // false
+  t.seen.push_back(c.load());                // v2
+  // Image round trip: cur and persisted travel apart, and the loaded cell
+  // joins the journal, so a crash reverts it.
+  c.store(v0);
+  nvm::pcell<T> d(v3, dom);
+  std::vector<nvm::persistent_base*> from{&c};
+  std::vector<nvm::persistent_base*> to{&d};
+  nvm::load_image(to, nvm::save_image(from));
+  t.seen.push_back(d.peek());            // v0
+  t.seen.push_back(d.peek_persisted());  // v2
+  dom.crash_reset();
+  t.seen.push_back(d.load());  // v2
+  const nvm::stats_snapshot s = dom.counters().snapshot();
+  t.counts = {s.shared_loads, s.shared_stores, s.shared_cas,
+              s.shared_exchanges, s.flushes, s.fences, s.crashes};
+  return t;
+}
+
+template <typename T>
+void expect_same_cell_in_both_modes(T v0, T v1, T v2, T v3) {
+  const cell_trace<T> confined =
+      trace_cell(nvm::stats::sharing::confined, v0, v1, v2, v3);
+  const cell_trace<T> shared =
+      trace_cell(nvm::stats::sharing::shared, v0, v1, v2, v3);
+  const std::vector<T> seen{v0, v1, v0, v1, v2, v2, v3, v3,
+                            v3, v2, v0, v2, v2};
+  EXPECT_EQ(confined.seen, seen);
+  EXPECT_EQ(shared.seen, seen);
+  const std::vector<bool> flags{true, false, true, false};
+  EXPECT_EQ(confined.flags, flags);
+  EXPECT_EQ(shared.flags, flags);
+  const std::vector<std::uint64_t> counts{6, 5, 2, 1, 1, 0, 4};
+  EXPECT_EQ(confined.counts, counts);
+  EXPECT_EQ(shared.counts, counts);
+}
+
+// A confined domain's cells are plain memory and a shared domain's are
+// seq_cst atomics; either way a cell must behave the same, for a word and
+// for Algorithm 2's 16-byte <value, vec> word.
+TEST(pcell, confined_and_shared_cells_behave_identically) {
+  expect_same_cell_in_both_modes<std::uint64_t>(7, 11, 13, 17);
+  expect_same_cell_in_both_modes<core::cas_word>({1, 10}, {2, 20}, {3, 30},
+                                                 {4, 40});
+}
+
+// Every simulated access goes through the plain-memory path: a world's
+// domain is confined.
+TEST(pcell, a_world_domain_is_confined) {
+  sim::world w(2);
+  EXPECT_TRUE(w.domain().confined());
+  EXPECT_FALSE(nvm::pmem_domain::global().confined());
+  EXPECT_FALSE(nvm::pmem_domain().confined());
 }
 
 TEST(pvar, store_load_and_crash_semantics) {
@@ -269,6 +367,45 @@ TEST(pmem_pool, frontier_survives_private_cache_crash) {
   pool.allocate();
   dom.crash_reset();
   EXPECT_EQ(pool.allocated(), 2u) << "allocation frontier is persistent";
+}
+
+// The pool builds its nodes in one block, in index order after its
+// frontier: a cell group records them in that order.
+TEST(pmem_pool, nodes_attach_in_index_order_after_the_frontier) {
+  nvm::pmem_domain dom;
+  struct node {
+    explicit node(nvm::pmem_domain& d) : v(0, d) {}
+    nvm::pcell<int> v;
+  };
+  std::vector<nvm::persistent_base*> cells;
+  {
+    nvm::attach_recording rec(dom, cells);
+    nvm::pmem_pool<node> pool(3, dom);
+    ASSERT_EQ(cells.size(), 4u);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(cells[1 + i], &pool.at(i).v) << i;
+    }
+    EXPECT_EQ(pool.capacity(), 3u);
+    EXPECT_THROW(pool.at(3), std::out_of_range);
+  }
+  EXPECT_EQ(dom.cells_attached(), 0u);
+}
+
+// A node that throws mid-build leaves no cell attached and nothing leaked.
+TEST(pmem_pool, a_throwing_node_unwinds_the_partial_build) {
+  nvm::pmem_domain dom;
+  static int built = 0;
+  struct node {
+    explicit node(nvm::pmem_domain& d) : v(0, d) {
+      if (++built == 3) throw std::runtime_error("node 2 fails");
+    }
+    nvm::pcell<int> v;
+  };
+  built = 0;
+  EXPECT_THROW(nvm::pmem_pool<node>(5, dom), std::runtime_error);
+  EXPECT_EQ(built, 3);
+  EXPECT_EQ(dom.cells_attached(), 0u);
+  EXPECT_EQ(dom.bytes_attached(), 0u);
 }
 
 TEST(stats, snapshot_subtraction) {

@@ -223,6 +223,58 @@ TEST(scheduler, round_robin_cycles) {
   EXPECT_EQ(rr.pick(ready, 3), 3);
 }
 
+// The stock schedulers take `x % n` through sim::divisor, which trades the
+// divide instruction for multiplications. It must equal `%` for every draw:
+// the 64-bit edges and a million xorshift draws, over every runnable size up
+// to 64 and a few far beyond what a run loop meets.
+TEST(scheduler, division_free_remainder_equals_modulo) {
+  std::vector<std::uint64_t> sizes;
+  for (std::uint64_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  for (std::uint64_t n : {65'537ull, 1'000'003ull, 0xffff'ffffull,
+                          0x1'0000'0001ull, 0x8000'0000'0000'0005ull,
+                          ~0ull}) {
+    sizes.push_back(n);
+  }
+  std::vector<std::uint64_t> draws{0, 1, 1ull << 63, ~0ull};
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 1'000'000; ++i) draws.push_back(sim::next_rand(state));
+  for (std::uint64_t n : sizes) {
+    const sim::divisor d(n);
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t x : draws) mismatches += d.remainder(x) != x % n;
+    EXPECT_EQ(mismatches, 0u) << "divisor " << n;
+  }
+  // The per-size cache the schedulers hold agrees too, with the size
+  // changing from pick to pick as under tso/pso.
+  sim::remainder_cache cache;
+  std::uint64_t mismatches = 0;
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const std::size_t n = i % 97 == 0 ? 65'537 : 1 + i % 64;
+    mismatches += cache.remainder(draws[i], n) != draws[i] % n;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// Both stock schedulers pick exactly what `%` picks while the runnable set
+// grows and shrinks between picks.
+TEST(scheduler, picks_equal_modulo_picks_as_the_runnable_set_changes) {
+  sim::random_scheduler rnd(42);
+  sim::round_robin_scheduler rr;
+  std::uint64_t state = 42 | 1;
+  std::uint64_t next = 0;
+  for (std::uint64_t step = 0; step < 20'000; ++step) {
+    std::vector<int> ready;
+    for (int p = 0; p < 1 + static_cast<int>(step * 7 % 40); ++p) {
+      ready.push_back(3 * p);
+    }
+    const std::uint64_t draw = sim::next_rand(state);
+    ASSERT_EQ(rnd.pick(ready, step), ready[draw % ready.size()])
+        << "step " << step;
+    ASSERT_EQ(rr.pick(ready, step), ready[next++ % ready.size()])
+        << "step " << step;
+  }
+}
+
 TEST(scheduler, scripted_follows_script_then_falls_back) {
   sim::scripted_scheduler s({1, 1, 0});
   std::vector<int> ready{0, 1};
