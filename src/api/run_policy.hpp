@@ -3,8 +3,8 @@
 //
 // Every way of running the paper's objects — a harness, an executor backend,
 // the serving front-end — builds its worlds from one run_policy: process
-// count, world config (step budget, strand engine, visibility, drain
-// points), fail policy, schedule, persistency, crash plan and cache model.
+// count, world config (step budget, visibility, drain points), fail
+// policy, schedule, persistency, crash plan and cache model.
 // harness is constructed from one; api::exec_policy extends it with the
 // backend choice, and serve::serve_config holds an exec_policy.
 //
@@ -29,7 +29,7 @@ namespace detect::api {
 
 struct run_policy {
   int nprocs = 2;
-  /// Step budget, strand engine, visibility model and drain points.
+  /// Step budget, visibility model and drain points.
   sim::world_config wcfg;
   core::runtime::fail_policy fail = core::runtime::fail_policy::skip;
   std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
@@ -56,12 +56,6 @@ class run_builder {
   }
   Derived& max_steps(std::uint64_t n) {
     pol_.wcfg.max_steps = n;
-    return self();
-  }
-  /// Strand engine for the simulated worlds (fiber or thread; see
-  /// sim/strand.hpp). Default: the process-global sim::default_engine().
-  Derived& engine(sim::engine_kind e) {
-    pol_.wcfg.engine = e;
     return self();
   }
   Derived& fail_policy(core::runtime::fail_policy p) {

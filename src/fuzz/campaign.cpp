@@ -10,14 +10,9 @@
 
 #include "fuzz/axes.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DETECT_CAMPAIGN_FORK 1
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define DETECT_CAMPAIGN_FORK 0
-#endif
 
 namespace detect::fuzz {
 
@@ -237,15 +232,6 @@ campaign_result run_campaign(
   if (cfg.jobs() <= 1 || cfg.options.iterations <= 1) {
     return run_inline(cfg, progress);
   }
-#if !DETECT_CAMPAIGN_FORK
-  // No fork() on this platform: graceful fallback — same oracle, same
-  // iteration stream, one process (see docs/checking.md for the caveat).
-  std::fprintf(stderr,
-               "campaign: --jobs %d unsupported on this platform; "
-               "running inline\n",
-               cfg.jobs());
-  return run_inline(cfg, progress);
-#else
   campaign_result r;
   r.forked = true;
 
@@ -422,7 +408,6 @@ campaign_result run_campaign(
 
   if (!write_coverage(effective, r)) r.exit_code = 2;
   return r;
-#endif
 }
 
 namespace {

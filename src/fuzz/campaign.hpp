@@ -15,8 +15,7 @@
 //                                   .coverage_out("coverage.json"));
 //
 // jobs <= 1 runs run_fuzz inline — byte-identical to the pre-campaign CLI.
-// jobs > 1 forks N worker processes (POSIX; non-POSIX hosts fall back to the
-// inline path with a note). The iteration range [0, iterations) is
+// jobs > 1 forks N worker processes. The iteration range [0, iterations) is
 // partitioned into N contiguous slices; every worker derives its scenarios
 // from the same (base_seed, absolute-iteration) stream, so the campaign
 // covers exactly the serial campaign's scenario set, N-ways parallel.

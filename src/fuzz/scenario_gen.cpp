@@ -14,6 +14,9 @@ namespace {
 
 using sim::next_rand;
 
+/// Generated crash points fall uniformly below this step.
+constexpr std::uint64_t k_max_crash_step = 160;
+
 /// Uniform pick in [lo, hi] (inclusive).
 std::uint64_t pick(std::uint64_t& rng, std::uint64_t lo, std::uint64_t hi) {
   return lo + next_rand(rng) % (hi - lo + 1);
@@ -220,16 +223,16 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   if (with_crashes && cfg.max_crashes > 0) {
     std::uint64_t n = pick(rng, 0, static_cast<std::uint64_t>(cfg.max_crashes));
     for (std::uint64_t c = 0; c < n; ++c) {
-      s.crash_steps.push_back(next_rand(rng) % cfg.max_crash_step);
+      s.crash_steps.push_back(next_rand(rng) % k_max_crash_step);
     }
     std::sort(s.crash_steps.begin(), s.crash_steps.end());
   }
   // retry re-attempts recovery-failed ops — only meaningful when recovery
   // verdicts are trustworthy, i.e. for detectable kinds.
-  if (cfg.allow_retry && all_detectable && next_rand(rng) % 4 == 0) {
+  if (all_detectable && next_rand(rng) % 4 == 0) {
     s.policy = core::runtime::fail_policy::retry;
   }
-  if (cfg.allow_shared_cache && next_rand(rng) % 4 == 0) {
+  if (next_rand(rng) % 4 == 0) {
     s.shared_cache = true;
   }
   // Shard-count knob: with backend == single it arms the single-vs-sharded
@@ -394,24 +397,20 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
         }
         break;
       case 3:
-        if (s.policy == core::runtime::fail_policy::skip && cfg.allow_retry) {
+        if (s.policy == core::runtime::fail_policy::skip) {
           s.policy = core::runtime::fail_policy::retry;
         } else {
           s.policy = core::runtime::fail_policy::skip;
         }
         break;
       case 4:
-        if (cfg.allow_shared_cache || s.shared_cache) {
-          s.shared_cache = !s.shared_cache;
-        } else {
-          applied = false;
-        }
+        s.shared_cache = !s.shared_cache;
         break;
       case 5:  // add a crash point
         if (cfg.crashes &&
             s.crash_steps.size() <
                 static_cast<std::size_t>(std::max(0, cfg.max_crashes))) {
-          s.crash_steps.push_back(next_rand(rng) % cfg.max_crash_step);
+          s.crash_steps.push_back(next_rand(rng) % k_max_crash_step);
           std::sort(s.crash_steps.begin(), s.crash_steps.end());
         } else {
           applied = false;

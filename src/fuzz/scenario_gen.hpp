@@ -39,16 +39,13 @@ struct gen_config {
   /// Per-process script length bounds.
   int min_ops = 1;
   int max_ops = 8;
-  /// Crash plan: up to `max_crashes` crash points uniformly below
-  /// `max_crash_step`. Ignored (no crashes generated) when `crashes` is
-  /// false — non-detectable kinds are only meaningful crash-free.
+  /// Crash plan: up to `max_crashes` crash points uniformly below step 160.
+  /// Ignored (no crashes generated) when `crashes` is false — non-detectable
+  /// kinds are only meaningful crash-free. A quarter of the scenarios draw
+  /// fail_policy::retry (detectable kinds only), and a quarter the
+  /// shared-cache memory model.
   bool crashes = true;
   int max_crashes = 3;
-  std::uint64_t max_crash_step = 160;
-  /// Allow the generator to pick fail_policy::retry / the shared-cache
-  /// memory model for a fraction of scenarios.
-  bool allow_retry = true;
-  bool allow_shared_cache = true;
   /// Argument domain for generated op values: 0 .. value_range-1.
   hist::value_t value_range = 8;
   /// Sharded-equivalence knob: scenarios draw `shards` from

@@ -81,8 +81,8 @@ struct serve_config {
   /// buffered-store drains with op steps while the serving contract (every
   /// admitted op completes) stays intact. A random crash plan is drawn
   /// afresh each batch round. Only server::builder's setters write it, so
-  /// its other fields (engine, crash steps, drain points, shared cache)
-  /// keep their defaults.
+  /// its other fields (crash steps, drain points, shared cache) keep their
+  /// defaults.
   api::exec_policy exec = [] {
     api::exec_policy p;
     p.shards = 4;

@@ -9,7 +9,9 @@
 
 // ---------------------------------------------------------------------------
 // Sanitizer support. Under ASan every stack switch must be bracketed by the
-// fiber annotations or the fake-stack machinery corrupts redzones.
+// fiber annotations or the fake-stack machinery corrupts redzones. Under
+// TSan each fiber is a TSan fiber and every switch names its target, so TSan
+// keeps one shadow call stack per fiber and orders each step after the last.
 
 #if defined(__SANITIZE_ADDRESS__)
 #define DETECT_ASAN_FIBERS 1
@@ -22,25 +24,34 @@
 #define DETECT_ASAN_FIBERS 0
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define DETECT_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DETECT_TSAN_FIBERS 1
+#endif
+#endif
+#ifndef DETECT_TSAN_FIBERS
+#define DETECT_TSAN_FIBERS 0
+#endif
+
 #if DETECT_ASAN_FIBERS
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
-
-// ---------------------------------------------------------------------------
-// Context-switch backend. On x86-64 ELF targets a hand-rolled switch keeps
-// the step cost at a handful of register moves; glibc's swapcontext would
-// add an rt_sigprocmask syscall per switch (~1 µs a pair), most of the
-// budget this engine exists to eliminate. Elsewhere, fall back to ucontext.
-
-#if defined(__x86_64__) && defined(__ELF__)
-#define DETECT_FIBER_ASM 1
-#else
-#define DETECT_FIBER_ASM 0
-#include <ucontext.h>
+#if DETECT_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
 #endif
 
-#if DETECT_FIBER_ASM
+// ---------------------------------------------------------------------------
+// The context switch. A hand-rolled switch keeps the step cost at a handful
+// of register moves; glibc's swapcontext would add an rt_sigprocmask syscall
+// per switch (~1 µs a pair), most of the budget this engine exists to
+// eliminate. It is written for the SysV x86-64 ABI, the one target.
+
+#if !defined(__x86_64__) || !defined(__ELF__)
+#error "detect builds for x86-64 ELF targets only"
+#endif
 
 // detect_ctx_switch(void** save_sp /*rdi*/, void* load_sp /*rsi*/): save the
 // SysV callee-saved set plus the FP control words on the current stack,
@@ -94,8 +105,6 @@ detect_fiber_entry:
 
 extern "C" void detect_ctx_switch(void** save_sp, void* load_sp);
 extern "C" void detect_fiber_entry();
-
-#endif  // DETECT_FIBER_ASM
 
 namespace detect::sim {
 
@@ -175,36 +184,26 @@ class stack_cache {
 };
 
 // ---------------------------------------------------------------------------
-// Saved execution contexts and the one switch between them.
+// The one switch between stacks.
 
-#if DETECT_FIBER_ASM
-struct context {
-  void* sp = nullptr;
-};
-void switch_context(context& from, const context& to) {
-  detect_ctx_switch(&from.sp, to.sp);
-}
-#else
-struct context {
-  ucontext_t uc{};
-};
-void switch_context(context& from, const context& to) {
-  swapcontext(&from.uc, &to.uc);
-}
-#endif
-
-// Leave `from` for `to`, whose stack spans [to_bottom, to_bottom + to_size).
-// Every switch — driver to fiber, fiber to fiber, fiber to driver — goes
-// through here so ASan always learns the target stack. `fake_save` parks
-// the leaving side's fake stack (null: the leaving fiber has finished for
-// good, free it); the resumed side restores its own with finish_switch.
-void switch_stack(context& from, [[maybe_unused]] void** fake_save,
-                  const context& to, [[maybe_unused]] const void* to_bottom,
+// Leave the running stack, saving its stack pointer in `from_sp`, for the
+// stack saved at `to_sp`: TSan fiber `to_tsan`, spanning [to_bottom,
+// to_bottom + to_size). Every switch — driver to fiber, fiber to fiber,
+// fiber to driver — goes through here so the sanitizers always learn the
+// target. `fake_save` parks the leaving side's ASan fake stack (null: the
+// leaving fiber has finished for good, free it); the resumed side restores
+// its own with finish_switch.
+void switch_stack(void*& from_sp, [[maybe_unused]] void** fake_save,
+                  void* to_sp, [[maybe_unused]] void* to_tsan,
+                  [[maybe_unused]] const void* to_bottom,
                   [[maybe_unused]] std::size_t to_size) {
 #if DETECT_ASAN_FIBERS
   __sanitizer_start_switch_fiber(fake_save, to_bottom, to_size);
 #endif
-  switch_context(from, to);
+#if DETECT_TSAN_FIBERS
+  __tsan_switch_to_fiber(to_tsan, 0);
+#endif
+  detect_ctx_switch(&from_sp, to_sp);
 }
 
 // The driving thread's side of one strand entry: where every fiber of a
@@ -212,7 +211,8 @@ void switch_stack(context& from, [[maybe_unused]] void** fake_save,
 // driver's stack until the chain hands control back.
 struct driver_side {
   step_relay* relay = nullptr;
-  context ctx;
+  void* sp = nullptr;
+  void* tsan = nullptr;  // TSan only: the driving thread's fiber
   // ASan only. The stack bounds are recorded by the chain's first fiber on
   // resumption, afresh for every entry: successive steps of one run may
   // legally be driven from different threads (e.g. a shard worker pool).
@@ -226,7 +226,11 @@ struct driver_side {
 
 class fiber_strand final : public strand {
  public:
-  fiber_strand() : stack_(stack_cache::take()) {}
+  fiber_strand() : stack_(stack_cache::take()) {
+#if DETECT_TSAN_FIBERS
+    tsan_ = __tsan_create_fiber(0);
+#endif
+  }
 
   ~fiber_strand() override {
     // A task may still be parked mid-run (e.g. the world died at a step
@@ -237,6 +241,9 @@ class fiber_strand final : public strand {
       enter(nullptr);
     }
     stack_cache::give(std::move(stack_));
+#if DETECT_TSAN_FIBERS
+    __tsan_destroy_fiber(tsan_);
+#endif
   }
 
   void start(std::function<void()> task) override {
@@ -274,7 +281,6 @@ class fiber_strand final : public strand {
   // Build a fresh initial frame on the (reused) stack. The previous task, if
   // any, has fully returned or unwound, so the stack is dead above the base.
   void arm() {
-#if DETECT_FIBER_ASM
     auto top = (reinterpret_cast<std::uintptr_t>(stack_.get()) +
                 k_fiber_stack_bytes) &
                ~std::uintptr_t{15};
@@ -292,18 +298,7 @@ class fiber_strand final : public strand {
     asm volatile("fnstcw %0" : "=m"(fcw));
     // The switch restores fcw from (%rsp) and mxcsr from 4(%rsp).
     *--sp = (std::uint64_t{mxcsr} << 32) | fcw;
-    ctx_.sp = sp;
-#else
-    getcontext(&ctx_.uc);
-    ctx_.uc.uc_stack.ss_sp = stack_.get();
-    ctx_.uc.uc_stack.ss_size = k_fiber_stack_bytes;
-    ctx_.uc.uc_link = nullptr;
-    auto bits = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&ctx_.uc,
-                reinterpret_cast<void (*)()>(&fiber_strand::ucontext_entry),
-                2, static_cast<unsigned>(bits >> 32),
-                static_cast<unsigned>(bits & 0xffffffffu));
-#endif
+    sp_ = sp;
     fake_ = nullptr;  // a fresh fiber has no fake stack to restore (ASan)
   }
 
@@ -314,9 +309,12 @@ class fiber_strand final : public strand {
     nvm::access_hook* prev = nvm::tls_hook();
     driver_side d;
     d.relay = relay;
+#if DETECT_TSAN_FIBERS
+    d.tsan = __tsan_get_current_fiber();
+#endif
     drv_ = &d;
     nvm::tls_hook() = this;
-    switch_stack(d.ctx, &d.fake, ctx_, stack_.get(), k_fiber_stack_bytes);
+    switch_stack(d.sp, &d.fake, sp_, tsan_, stack_.get(), k_fiber_stack_bytes);
 #if DETECT_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(d.fake, nullptr, nullptr);
 #endif
@@ -343,10 +341,10 @@ class fiber_strand final : public strand {
     if (next != nullptr) {
       next->drv_ = &d;
       nvm::tls_hook() = next;
-      switch_stack(ctx_, fake_save, next->ctx_, next->stack_.get(),
+      switch_stack(sp_, fake_save, next->sp_, next->tsan_, next->stack_.get(),
                    k_fiber_stack_bytes);
     } else {
-      switch_stack(ctx_, fake_save, d.ctx, d.stack_bottom, d.stack_size);
+      switch_stack(sp_, fake_save, d.sp, d.tsan, d.stack_bottom, d.stack_size);
     }
     // Resumed, by the driver or by another fiber of a chain: a finished
     // fiber never is.
@@ -384,21 +382,14 @@ class fiber_strand final : public strand {
     // unreachable: nobody resumes a finished fiber
   }
 
-#if !DETECT_FIBER_ASM
-  static void ucontext_entry(unsigned hi, unsigned lo) {
-    auto bits = (static_cast<std::uintptr_t>(hi) << 32) |
-                static_cast<std::uintptr_t>(lo);
-    fiber_main(reinterpret_cast<fiber_strand*>(bits));
-  }
-#endif
-
   std::unique_ptr<unsigned char[]> stack_;
   std::function<void()> task_;
-  context ctx_;              // this fiber, while it is not running
+  void* sp_ = nullptr;       // this fiber's stack pointer, while not running
   driver_side* drv_ = nullptr;  // the current chain's driver side
   bool crash_me_ = false;    // deliver crash at next resume
   bool stopping_ = false;    // world teardown: fail every further access
   void* fake_ = nullptr;     // ASan: this fiber's parked fake stack
+  void* tsan_ = nullptr;     // TSan: this fiber's context
 };
 
 // ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ enum class engine_kind : std::uint8_t { fiber, thread };
 
 const char* engine_name(engine_kind e) noexcept;
 
-/// Process-global default used by worlds whose config doesn't pin an engine.
-/// Initially `fiber`. Scenario replays build their executors internally, so
+/// The one engine switch: every world takes the engine named here when it is
+/// built. Initially `fiber`. Scenario replays build their executors internally, so
 /// flipping this is how A/B tests re-run an identical scenario on the other
 /// engine (the engine is deliberately not part of the scenario format).
 engine_kind default_engine() noexcept;

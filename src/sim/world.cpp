@@ -20,7 +20,7 @@ void erase_sorted(std::vector<int>& v, int pid) {
 }  // namespace
 
 world::world(int nprocs, world_config cfg)
-    : cfg_(std::move(cfg)), engine_(cfg_.engine.value_or(default_engine())) {
+    : cfg_(std::move(cfg)), engine_(default_engine()) {
   if (nprocs <= 0) throw std::invalid_argument("world: nprocs must be >= 1");
   procs_.reserve(static_cast<std::size_t>(nprocs));
   for (int i = 0; i < nprocs; ++i) procs_.push_back(make_strand(engine_));

@@ -31,7 +31,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,10 +64,6 @@ struct world_config {
   /// Safety valve against non-terminating schedules (e.g. an unfair scheduler
   /// starving Algorithm 3's double collect).
   std::uint64_t max_steps = 1'000'000;
-  /// Strand engine; unset means `default_engine()` at world construction.
-  /// Deliberately not part of the scenario format — engines are
-  /// behavior-identical, and A/B tests flip the process-global default.
-  std::optional<engine_kind> engine;
   /// Visibility order between live processes (see wmm/visibility.hpp).
   /// Under tso/pso each process gets a FIFO store buffer whose drain slots
   /// appear in the run loop's candidate set as pseudo-pids
@@ -110,6 +105,10 @@ struct run_report {
 
 class world final : private step_relay {
  public:
+  /// The world runs on the strand engine `default_engine()` names when it
+  /// is built. The engine is deliberately not a config field: engines are
+  /// behavior-identical, and A/B tests flip the process-global default,
+  /// which also reaches the worlds scenario replays build internally.
   explicit world(int nprocs, world_config cfg = {});
   ~world();  // unwinds tasks still parked (e.g. after a step limit)
 

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DETECT_POOL_ATFORK 1
 #include <pthread.h>
-#else
-#define DETECT_POOL_ATFORK 0
-#endif
 
 namespace detect::util {
 
@@ -134,7 +129,6 @@ namespace {
 std::atomic<task_pool*> g_shared{nullptr};
 std::atomic<task_pool*> g_abandoned{nullptr};
 
-#if DETECT_POOL_ATFORK
 // A forked child inherits the pool object, but not one of its threads, and
 // possibly a mutex some worker held at the fork. Abandon it untouched; the
 // child's next shared() call builds a fresh pool.
@@ -142,18 +136,15 @@ void abandon_shared_in_child() {
   g_abandoned.store(g_shared.exchange(nullptr, std::memory_order_relaxed),
                     std::memory_order_relaxed);
 }
-#endif
 
 }  // namespace
 
 task_pool& task_pool::shared() {
   task_pool* p = g_shared.load(std::memory_order_acquire);
   if (p != nullptr) return *p;
-#if DETECT_POOL_ATFORK
   static const int registered = pthread_atfork(nullptr, nullptr,
                                                &abandon_shared_in_child);
   (void)registered;
-#endif
   auto fresh = std::make_unique<task_pool>(0);
   if (g_shared.compare_exchange_strong(p, fresh.get(),
                                        std::memory_order_acq_rel,

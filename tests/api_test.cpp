@@ -179,7 +179,8 @@ TEST(harness_builder, max_steps_is_honored) {
 // the single-backend executor::builder under each run setting. Both must
 // produce the same log, run report and verdict, and each row's hash is
 // pinned: a setter that stops reaching the world, or reaches it differently,
-// moves it. The two engines are behavior-identical, so their rows agree.
+// moves it. Each row runs under its engine, the process-global switch; the
+// two engines are behavior-identical, so their rows agree.
 std::uint64_t hash_run(const std::string& log_text,
                        const sim::run_report& r,
                        const hist::check_result& c) {
@@ -199,6 +200,7 @@ std::uint64_t hash_run(const std::string& log_text,
 struct setting_pin {
   const char* name;
   std::uint64_t hash;
+  sim::engine_kind engine = sim::engine_kind::fiber;
 };
 
 const setting_pin k_setting_pins[] = {
@@ -213,7 +215,7 @@ const setting_pin k_setting_pins[] = {
     {"retry", 1940906928006648966ULL},
     {"max_steps_limit", 4083085950161400429ULL},
     {"fiber_engine", 17519818188196813325ULL},
-    {"thread_engine", 17519818188196813325ULL},
+    {"thread_engine", 17519818188196813325ULL, sim::engine_kind::thread},
 };
 
 template <typename B>
@@ -240,10 +242,7 @@ void apply_setting(B& b, const std::string& name) {
   } else if (name == "max_steps_limit") {
     b.seed(6).max_steps(25);
   } else if (name == "fiber_engine" || name == "thread_engine") {
-    b.engine(name == "fiber_engine" ? sim::engine_kind::fiber
-                                    : sim::engine_kind::thread)
-        .seed(9)
-        .crash_at({12});
+    b.seed(9).crash_at({12});
   }
 }
 
@@ -264,6 +263,7 @@ void script_workload(Target& t) {
 TEST(run_policy_pin, harness_and_executor_agree_per_setting) {
   for (const setting_pin& pin : k_setting_pins) {
     SCOPED_TRACE(pin.name);
+    engine_guard guard(pin.engine);
     api::harness::builder hb;
     apply_setting(hb, pin.name);
     api::harness h = hb.build();

@@ -5,8 +5,7 @@
 // scenarios from (base_seed, absolute iteration) — so with steering off the
 // merged coverage (bucket union, discovery iterations, per-strategy totals)
 // is exactly the serial campaign's, independent of N. Forking, worker
-// summaries, and the merged coverage JSON are exercised for real here
-// (POSIX fork; the suite runs wherever CI runs the tier-1 lane).
+// summaries, and the merged coverage JSON are exercised for real here.
 #include <filesystem>
 #include <fstream>
 #include <set>

@@ -7,8 +7,11 @@
 // behavior. Every generated scenario must replay to the same event log, the
 // same checker verdict, and the same run report under both engines — the
 // fiber engine is a pure mechanism swap, never a semantics change.
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,18 +20,24 @@
 #include "fuzz/scenario_gen.hpp"
 #include "history/log.hpp"
 #include "sim/strand.hpp"
+#include "test_util.hpp"
 #include "wmm/visibility.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define DETECT_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DETECT_TEST_TSAN 1
+#endif
+#endif
+#ifndef DETECT_TEST_TSAN
+#define DETECT_TEST_TSAN 0
+#endif
 
 namespace {
 
 using namespace detect;
-
-/// Restore the process-global default engine on scope exit, whatever the
-/// test did to it.
-struct engine_guard {
-  sim::engine_kind saved = sim::default_engine();
-  ~engine_guard() { sim::set_default_engine(saved); }
-};
+using test::engine_guard;
 
 void expect_same_events(const std::vector<hist::event>& a,
                         const std::vector<hist::event>& b,
@@ -57,7 +66,7 @@ void expect_same_events(const std::vector<hist::event>& a,
 // persistency-mixed — each replayed once per engine. Logs must match byte
 // for byte, verdicts and reports exactly.
 TEST(EngineABTest, FiberAndThreadReplaysIdenticalOn500SeedCorpus) {
-  engine_guard guard;
+  engine_guard guard(sim::engine_kind::fiber);
   fuzz::gen_config cfg;
   cfg.max_procs = 3;
   cfg.max_ops = 6;
@@ -99,7 +108,7 @@ TEST(EngineABTest, FiberAndThreadReplaysIdenticalOn500SeedCorpus) {
 // the sc corpus above never reaches. Every run_report field must match,
 // the drain counters included.
 TEST(EngineABTest, FiberAndThreadReplaysIdenticalUnderRelaxedVisibility) {
-  engine_guard guard;
+  engine_guard guard(sim::engine_kind::fiber);
   fuzz::gen_config cfg;
   cfg.max_procs = 3;
   cfg.max_ops = 6;
@@ -150,38 +159,13 @@ TEST(EngineABTest, FiberAndThreadReplaysIdenticalUnderRelaxedVisibility) {
   EXPECT_GT(drains, 1000u);
 }
 
-// world_config.engine overrides the process-global default; absent, the
-// default decides.
-TEST(EngineTest, WorldConfigEngineOverridesDefault) {
-  engine_guard guard;
-  sim::set_default_engine(sim::engine_kind::thread);
-
-  sim::world_config cfg;
-  cfg.engine = sim::engine_kind::fiber;
-  sim::world pinned(2, cfg);
-  EXPECT_EQ(pinned.engine(), sim::engine_kind::fiber);
-
-  sim::world defaulted(2);
-  EXPECT_EQ(defaulted.engine(), sim::engine_kind::thread);
-
-  sim::set_default_engine(sim::engine_kind::fiber);
-  sim::world refreshed(2);
-  EXPECT_EQ(refreshed.engine(), sim::engine_kind::fiber);
-}
-
-// The executor builder's engine() pin reaches the underlying world: a
-// scripted run under an explicitly pinned thread engine still produces the
-// fiber default's exact history.
-TEST(EngineTest, BuilderEnginePinMatchesDefaultEngineRun) {
-  engine_guard guard;
-  sim::set_default_engine(sim::engine_kind::fiber);
+// The process-global switch decides the engine of every world built under
+// it, and a scripted executor run gives the same history on both engines.
+TEST(EngineTest, ExecutorRunMatchesOnBothEngines) {
   auto run_with = [](sim::engine_kind e) {
-    auto ex = api::executor::builder()
-                  .engine(e)
-                  .procs(2)
-                  .seed(7)
-                  .crash_at({9})
-                  .build();
+    engine_guard guard(e);
+    EXPECT_EQ(sim::world(1).engine(), e);
+    auto ex = api::executor::builder().procs(2).seed(7).crash_at({9}).build();
     api::counter c = ex->add_counter();
     ex->script(0, {c.add(1), c.add(2)});
     ex->script(1, {c.add(3), c.read()});
@@ -191,6 +175,43 @@ TEST(EngineTest, BuilderEnginePinMatchesDefaultEngineRun) {
   EXPECT_EQ(run_with(sim::engine_kind::fiber),
             run_with(sim::engine_kind::thread));
 }
+
+#if DETECT_TEST_TSAN
+// The fiber annotations (src/sim/strand.cpp) make every switch a
+// happens-before edge, so TSan sees a fiber's steps in order whichever
+// thread drives them. They must hide no real race: two OS threads that step
+// one world, handing it over through a relaxed flag and no lock, race on
+// the world's own state, and TSan must report it. TSan's nonzero exit
+// status after a report is the death, with or without halt_on_error. The
+// threadsafe style runs the statement in a re-executed binary, not in a
+// fork of this multi-threaded process, which TSan would refuse.
+TEST(EngineTsanDeathTest, UnsynchronizedWorldHandoffIsReported) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        engine_guard guard(sim::engine_kind::fiber);
+        sim::world w(1);
+        nvm::pcell<int> c(0, w.domain());
+        w.submit(0, [&] {
+          for (int i = 0; i < 4; ++i) c.store(i);
+        });
+        std::atomic<bool> handed{false};
+        std::thread first([&] {
+          w.step(0);
+          handed.store(true, std::memory_order_relaxed);
+        });
+        std::thread second([&] {
+          while (!handed.load(std::memory_order_relaxed)) {
+          }
+          w.step(0);
+        });
+        first.join();
+        second.join();
+        std::exit(0);
+      },
+      "ThreadSanitizer: data race");
+}
+#endif
 
 // Arena-log allocation contract: blocks are allocated once per
 // k_block_events high-water mark and reused across clear() — a steady-state

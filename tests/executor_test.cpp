@@ -12,13 +12,8 @@
 #include "test_util.hpp"
 #include "util/task_pool.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DETECT_TEST_FORK 1
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define DETECT_TEST_FORK 0
-#endif
 
 namespace detect {
 namespace {
@@ -1074,7 +1069,6 @@ TEST(pool_threads, pool_size_does_not_change_results) {
   EXPECT_GE(draining, 50);
 }
 
-#if DETECT_TEST_FORK
 // api::replay drives a scenario's shards inline, so it never wakes the
 // shared driver pool. Forked, because the parent's pool may already have
 // workers from earlier tests; a forked child starts with none.
@@ -1107,7 +1101,6 @@ TEST(pool_threads, replay_never_wakes_the_pool) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
-#endif
 
 // ---- persistent-cell footprint ----------------------------------------------
 

@@ -12,6 +12,7 @@
 #include "nvm/pcell.hpp"
 #include "sim/explorer.hpp"
 #include "sim/world.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -304,12 +305,6 @@ TEST(crash_plan, at_steps_fires_once_each) {
 constexpr sim::engine_kind k_engines[] = {sim::engine_kind::fiber,
                                           sim::engine_kind::thread};
 
-sim::world_config on_engine(sim::engine_kind e) {
-  sim::world_config cfg;
-  cfg.engine = e;
-  return cfg;
-}
-
 /// Counts the task frames destroyed, by return or by unwinding.
 struct frame_guard {
   int& gone;
@@ -367,13 +362,14 @@ class recording_plan final : public sim::crash_plan {
 // the same thread then runs normally.
 TEST(handoff, decision_exception_leaves_run_without_unwinding_tasks) {
   for (sim::engine_kind engine : k_engines) {
+    test::engine_guard guard(engine);
     for (bool from_plan : {false, true}) {
       SCOPED_TRACE(std::string(sim::engine_name(engine)) +
                    (from_plan ? " crash plan" : " scheduler"));
       int gone = 0;
       int saw_exception = 0;
       {
-        sim::world w(3, on_engine(engine));
+        sim::world w(3);
         nvm::pcell<int> c(0, w.domain());
         for (int p = 0; p < 3; ++p) {
           w.submit(p, [&] {
@@ -396,7 +392,7 @@ TEST(handoff, decision_exception_leaves_run_without_unwinding_tasks) {
       }
       EXPECT_EQ(gone, 3) << "the world unwound its parked tasks";
 
-      sim::world again(2, on_engine(engine));
+      sim::world again(2);
       nvm::pcell<int> d(0, again.domain());
       for (int p = 0; p < 2; ++p) {
         again.submit(p, [&] {
@@ -417,8 +413,9 @@ TEST(handoff, decision_exception_leaves_run_without_unwinding_tasks) {
 TEST(handoff, task_exception_mid_chain_propagates) {
   std::vector<std::uint64_t> steps;
   for (sim::engine_kind engine : k_engines) {
+    test::engine_guard guard(engine);
     SCOPED_TRACE(sim::engine_name(engine));
-    sim::world w(3, on_engine(engine));
+    sim::world w(3);
     nvm::pcell<int> c(0, w.domain());
     w.submit(0, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
     w.submit(1, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
@@ -446,10 +443,11 @@ TEST(handoff, task_exception_mid_chain_propagates) {
 TEST(handoff, step_limit_mid_chain_matches_and_unwinds) {
   std::vector<std::string> notes;
   for (sim::engine_kind engine : k_engines) {
+    test::engine_guard guard(engine);
     SCOPED_TRACE(sim::engine_name(engine));
     int gone = 0;
     {
-      sim::world_config cfg = on_engine(engine);
+      sim::world_config cfg;
       cfg.max_steps = 37;
       sim::world w(3, cfg);
       nvm::pcell<int> c(0, w.domain());
@@ -479,9 +477,10 @@ TEST(handoff, step_limit_mid_chain_matches_and_unwinds) {
 TEST(handoff, crash_mid_chain_gives_the_same_log) {
   std::vector<std::vector<std::string>> logs;
   for (sim::engine_kind engine : k_engines) {
+    test::engine_guard guard(engine);
     SCOPED_TRACE(sim::engine_name(engine));
     std::vector<std::string> log;
-    sim::world w(3, on_engine(engine));
+    sim::world w(3);
     nvm::pcell<int> c(0, w.domain());
     auto task = [&](int pid, int ops) {
       return [&log, &c, pid, ops] {
@@ -511,8 +510,9 @@ TEST(handoff, crash_mid_chain_gives_the_same_log) {
 // returns to its caller after exactly one access.
 TEST(handoff, step_after_run_returns_after_one_access) {
   for (sim::engine_kind engine : k_engines) {
+    test::engine_guard guard(engine);
     SCOPED_TRACE(sim::engine_name(engine));
-    sim::world w(2, on_engine(engine));
+    sim::world w(2);
     nvm::pcell<int> a(0, w.domain());
     nvm::pcell<int> b(0, w.domain());
     for (int p = 0; p < 2; ++p) {
@@ -573,6 +573,7 @@ const char* const k_cached_stack_scenario =
     "script 2 enq:9:0@3 ctr_read:0:0@2 cas_read:0:0@1 reg_write:1:0\n";
 
 TEST(stack_cache, reused_stacks_replay_byte_identically) {
+  test::engine_guard guard(sim::engine_kind::fiber);
   const api::scripted_scenario s =
       api::parse_scenario(k_cached_stack_scenario);
   const api::scripted_outcome ref = api::replay(s);
@@ -584,12 +585,11 @@ TEST(stack_cache, reused_stacks_replay_byte_identically) {
     EXPECT_EQ(again.report.steps, ref.report.steps) << after;
     EXPECT_EQ(again.check.nodes, ref.check.nodes) << after;
   };
-  const sim::world_config fibers = on_engine(sim::engine_kind::fiber);
   expect_same_replay("a replay");
 
   int gone = 0;
   {
-    sim::world_config cfg = fibers;
+    sim::world_config cfg;
     cfg.max_steps = 40;
     sim::world w(4, cfg);
     nvm::pcell<int> c(0, w.domain());
@@ -606,7 +606,7 @@ TEST(stack_cache, reused_stacks_replay_byte_identically) {
   expect_same_replay("a step-limit teardown");
 
   {
-    sim::world w(3, fibers);
+    sim::world w(3);
     nvm::pcell<int> c(0, w.domain());
     w.submit(0, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
     w.submit(1, [&] { for (int i = 0; i < 6; ++i) c.store(i); });
@@ -620,7 +620,7 @@ TEST(stack_cache, reused_stacks_replay_byte_identically) {
   expect_same_replay("a task exception");
 
   {
-    sim::world w(3, fibers);
+    sim::world w(3);
     nvm::pcell<int> c(0, w.domain());
     for (int p = 0; p < 3; ++p) {
       w.submit(p, [&, p] {

@@ -14,13 +14,8 @@
 
 #include "util/task_pool.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DETECT_TEST_FORK 1
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define DETECT_TEST_FORK 0
-#endif
 
 namespace {
 
@@ -192,7 +187,6 @@ TEST(task_pool, shared_pool_is_one_instance) {
   EXPECT_EQ(hits.load(), 10);
 }
 
-#if DETECT_TEST_FORK
 // A forked child inherits the shared pool object but none of its threads; it
 // must get a fresh pool instead — worker-less until it asks, then working.
 TEST(task_pool, forked_child_gets_a_fresh_shared_pool) {
@@ -221,6 +215,5 @@ TEST(task_pool, forked_child_gets_a_fresh_shared_pool) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
-#endif
 
 }  // namespace

@@ -49,6 +49,22 @@ inline std::uint64_t fnv_raw(std::uint64_t h, const std::string& s) {
 
 constexpr std::uint64_t k_fnv_basis = 1469598103934665603ULL;
 
+/// Switches the process-global strand engine (sim::set_default_engine) to
+/// `e` and restores the previous engine on scope exit. A world takes its
+/// engine when it is built, so build the worlds inside the guard's scope.
+class engine_guard {
+ public:
+  explicit engine_guard(sim::engine_kind e) : saved_(sim::default_engine()) {
+    sim::set_default_engine(e);
+  }
+  ~engine_guard() { sim::set_default_engine(saved_); }
+  engine_guard(const engine_guard&) = delete;
+  engine_guard& operator=(const engine_guard&) = delete;
+
+ private:
+  sim::engine_kind saved_;
+};
+
 /// pid → script, the façade's scripting currency.
 using scripts = std::map<int, std::vector<hist::op_desc>>;
 
